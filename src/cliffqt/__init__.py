@@ -14,6 +14,7 @@ from .algebra import (
     blade_rank,
     commutator,
     mask_from_indices,
+    sign_mask,
 )
 from .dsl import (
     TypeEnv,
@@ -23,7 +24,6 @@ from .dsl import (
     format_program,
     free_symbols,
     infer_type,
-    parse_expr,
     parse_program,
     random_instance,
 )

@@ -80,21 +80,29 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
     return mask
 
 
+def sign_mask(a: int, p: int) -> int:
+    """Mask S with e_a * e_b negative exactly when popcount(b & S) is odd.
+
+    The sign of e_a * e_b is the parity of the transpositions that sort the
+    concatenated index lists, sum over t >= 1 of popcount((a >> t) & b), plus
+    one for every shared generator past position p (eta = -1).  Popcount
+    parity adds under XOR, so the shifted copies of ``a`` fold into one mask.
+    """
+    mask = a >> p << p
+    t = a >> 1
+    while t:
+        mask ^= t
+        t >>= 1
+    return mask
+
+
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Product of two basis blades as ``(sign, result mask)``.
 
-    The sign is the parity of the transpositions that sort the concatenated
-    index lists, times eta of every generator the two blades share; the
-    result blade is the symmetric difference of the index sets.
+    The result blade is the symmetric difference of the index sets; the sign
+    comes from :func:`sign_mask`.
     """
-    swaps = 0
-    t = a >> 1
-    while t:
-        swaps += (t & b).bit_count()
-        t >>= 1
-    # shared generators contract to eta; only those past position p are -1
-    swaps += ((a & b) >> sig.p).bit_count()
-    return (-1 if swaps & 1 else 1), a ^ b
+    return (-1 if (b & sign_mask(a, sig.p)).bit_count() & 1 else 1), a ^ b
 
 
 def _is_rational(v) -> bool:
@@ -302,37 +310,28 @@ class Multivector:
         out: dict[int, tuple] = {}
         get = out.get
         if self.field == REAL:
+            zero = 0.0 if self.backend == FLOAT else 0
             for ma, (ra, _) in self._terms.items():
+                sa = sign_mask(ma, p)
                 for mb, (rb, _) in other._terms.items():
-                    swaps = 0
-                    t = ma >> 1
-                    while t:
-                        swaps += (t & mb).bit_count()
-                        t >>= 1
-                    swaps += ((ma & mb) >> p).bit_count()
-                    re = -ra * rb if swaps & 1 else ra * rb
+                    re = -ra * rb if (mb & sa).bit_count() & 1 else ra * rb
                     m = ma ^ mb
                     cur = get(m)
                     if cur is None:
-                        out[m] = (re, 0)
+                        out[m] = (re, zero)
                     else:
                         re += cur[0]
                         if re == 0:
                             del out[m]
                         else:
-                            out[m] = (re, 0)
+                            out[m] = (re, zero)
         else:
             for ma, (ra, ia) in self._terms.items():
+                sa = sign_mask(ma, p)
                 for mb, (rb, ib) in other._terms.items():
-                    swaps = 0
-                    t = ma >> 1
-                    while t:
-                        swaps += (t & mb).bit_count()
-                        t >>= 1
-                    swaps += ((ma & mb) >> p).bit_count()
                     re = ra * rb - ia * ib
                     im = ra * ib + ia * rb
-                    if swaps & 1:
+                    if (mb & sa).bit_count() & 1:
                         re = -re
                         im = -im
                     m = ma ^ mb

@@ -30,6 +30,7 @@ from .qtype import (
     TypeSet,
     _ACOMM_MAIN,
     _COMM_MAIN,
+    atom_components,
     classify_by_rank,
     qtype_project,
 )
@@ -116,27 +117,15 @@ def cmd_mul(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from fractions import Fraction
-
     u = parse_mv(args.mv, args.sig, args.field, args.backend)
     tset = classify_by_rank(u)
     components = []
     lines = [str(tset)]
-    half = 0.5 if args.backend == FLOAT else Fraction(1, 2)
-    for k in range(4):
-        part = qtype_project(u, k)
-        if args.field == COMPLEX:
-            conj = part.complex_conjugate()
-            pieces = (
-                (str(k), (part + conj).scale(half)),
-                (f"i{k}", (part - conj).scale(half)),
-            )
-        else:
-            pieces = ((str(k), part),)
-        for atom, piece in pieces:
-            if not piece.is_zero():
-                components.append({"atom": atom, "part": mv_to_dict(piece)})
-                lines.append(f"  {atom}: {format_mv(piece)}")
+    for (k, imag), piece in atom_components(u):
+        if not piece.is_zero():
+            atom = f"i{k}" if imag else str(k)
+            components.append({"atom": atom, "part": mv_to_dict(piece)})
+            lines.append(f"  {atom}: {format_mv(piece)}")
     _emit(
         args,
         {"command": "classify", "typeset": str(tset), "components": components},

@@ -360,10 +360,6 @@ def parse_program(text: str, field: str = REAL) -> tuple[TypeEnv, Expr]:
     return _DslParser(text, field).parse_program()
 
 
-def parse_expr(text: str, field: str = REAL) -> tuple[TypeEnv, Expr]:
-    return parse_program(text, field)
-
-
 # ------------------------------------------------------------------ formatting
 
 def format_expr(expr: Expr, prec: int = 0) -> str:

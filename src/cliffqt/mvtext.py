@@ -25,80 +25,74 @@ from .algebra import COMPLEX, EXACT, REAL, Multivector, Signature
 from .errors import AlgebraError, ParseError
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int, int]] = []
-        self._scan()
+def _fail_at(text: str, pos: int, msg: str):
+    """Raise ParseError for character offset ``pos`` of ``text``, 1-based line and column."""
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    raise ParseError(msg, line, col)
 
-    def _loc(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
 
-    def _fail(self, msg: str, pos: int):
-        line, col = self._loc(pos)
-        raise ParseError(msg, line, col)
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            start = i
-            if ch.isdigit():
-                j = i + 1
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """Tokens as ``(kind, value, character offset)``, ending with EOF."""
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        start = i
+        if ch.isdigit():
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
+                j += 1
                 while j < len(text) and text[j].isdigit():
                     j += 1
-                if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
-                    j += 1
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-                    self.tokens.append(("DECIMAL", text[i:j], *self._loc(start)))
-                else:
-                    self.tokens.append(("INT", text[i:j], *self._loc(start)))
-                i = j
-            elif ch == "e":
-                j = i + 1
-                if j < len(text) and text[j] == "{":
-                    j += 1
-                    k = text.find("}", j)
-                    if k < 0:
-                        self._fail("unterminated blade index list", start)
-                    body = text[j:k]
-                    indices = []
-                    for part in body.split(","):
-                        part = part.strip()
-                        if not part.isdigit():
-                            self._fail(f"bad blade index {part!r}", start)
-                        indices.append(int(part))
-                    self.tokens.append(("BLADE", (tuple(indices), True), *self._loc(start)))
-                    i = k + 1
-                else:
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-                    digits = text[i + 1 : j]
-                    indices = tuple(int(d) for d in digits)
-                    self.tokens.append(("BLADE", (indices, False), *self._loc(start)))
-                    i = j
-            elif ch == "i":
-                self.tokens.append(("I", "i", *self._loc(start)))
-                i += 1
-            elif ch in "+-*/":
-                self.tokens.append((ch, ch, *self._loc(start)))
-                i += 1
+                tokens.append(("DECIMAL", text[i:j], start))
             else:
-                self._fail(f"malformed token {ch!r}", start)
-        self.tokens.append(("EOF", None, *self._loc(len(text))))
+                tokens.append(("INT", text[i:j], start))
+            i = j
+        elif ch == "e":
+            j = i + 1
+            if j < len(text) and text[j] == "{":
+                j += 1
+                k = text.find("}", j)
+                if k < 0:
+                    _fail_at(text, start, "unterminated blade index list")
+                body = text[j:k]
+                indices = []
+                for part in body.split(","):
+                    part = part.strip()
+                    if not part.isdigit():
+                        _fail_at(text, start, f"bad blade index {part!r}")
+                    indices.append(int(part))
+                tokens.append(("BLADE", (tuple(indices), True), start))
+                i = k + 1
+            else:
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                digits = text[i + 1 : j]
+                indices = tuple(int(d) for d in digits)
+                tokens.append(("BLADE", (indices, False), start))
+                i = j
+        elif ch == "i":
+            tokens.append(("I", "i", start))
+            i += 1
+        elif ch in "+-*/":
+            tokens.append((ch, ch, start))
+            i += 1
+        else:
+            _fail_at(text, start, f"malformed token {ch!r}")
+    tokens.append(("EOF", None, len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, sig: Signature, field: str, backend: str):
-        self.toks = _Lexer(text).tokens
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
         self.sig = sig
         self.field = field
@@ -114,24 +108,21 @@ class _Parser:
 
     def _fail(self, msg, tok=None):
         tok = tok or self._peek()
-        raise ParseError(msg, tok[2], tok[3])
+        _fail_at(self.text, tok[2], msg)
 
     def parse(self) -> Multivector:
         terms = []
         sign = 1
-        kind, _, _, _ = self._peek()
+        kind, _, _ = self._peek()
         if kind in ("+", "-"):
             sign = 1 if self._next()[0] == "+" else -1
         terms.append(self._term(sign))
         while self._peek()[0] != "EOF":
-            kind, _, line, col = self._next()
-            if kind not in ("+", "-"):
-                raise ParseError(f"expected '+' or '-', got {kind}", line, col)
-            terms.append(self._term(1 if kind == "+" else -1))
-        out = Multivector.zero(self.sig, self.field, self.backend)
-        for mask, value in terms:
-            out = out + Multivector(self.sig, {mask: value}, self.field, self.backend)
-        return out
+            tok = self._next()
+            if tok[0] not in ("+", "-"):
+                self._fail(f"expected '+' or '-', got {tok[0]}", tok)
+            terms.append(self._term(1 if tok[0] == "+" else -1))
+        return Multivector(self.sig, terms, self.field, self.backend)
 
     def _term(self, sign: int):
         kind = self._peek()[0]
@@ -156,26 +147,27 @@ class _Parser:
         self._fail("expected a term")
 
     def _coeff(self):
-        kind, lexeme, line, col = self._next()
+        tok = self._next()
+        kind, lexeme, _ = tok
         if kind == "I":
             return self._one(), True
         if kind == "INT":
             num = int(lexeme)
             if self._peek()[0] == "/":
                 self._next()
-                dkind, dlex, dline, dcol = self._next()
-                if dkind != "INT":
-                    raise ParseError("fraction denominator must be an integer", dline, dcol)
-                den = int(dlex)
+                dtok = self._next()
+                if dtok[0] != "INT":
+                    self._fail("fraction denominator must be an integer", dtok)
+                den = int(dtok[1])
                 if den == 0:
-                    raise ParseError("zero denominator", dline, dcol)
+                    self._fail("zero denominator", dtok)
                 value = self._rat(num, den)
             else:
                 value = num if self.backend == EXACT else float(num)
         elif kind == "DECIMAL":
             value = Fraction(lexeme) if self.backend == EXACT else float(lexeme)
         else:
-            raise ParseError(f"expected a coefficient, got {kind}", line, col)
+            self._fail(f"expected a coefficient, got {kind}", tok)
         imag = False
         if self._peek()[0] == "I":
             self._next()
@@ -202,18 +194,16 @@ class _Parser:
         return (value, zero)
 
     def _blade(self, tok) -> int:
-        _, (indices, braced), line, col = tok
+        _, (indices, braced), _ = tok
         if not braced and indices and self.sig.n > 9:
-            raise ParseError(
-                "digit blade form is ambiguous for n > 9; use e{i,j,...}", line, col
-            )
+            self._fail("digit blade form is ambiguous for n > 9; use e{i,j,...}", tok)
         mask = 0
         prev = 0
         for a in indices:
             if not 1 <= a <= self.sig.n:
-                raise ParseError(f"blade index {a} out of range 1..{self.sig.n}", line, col)
+                self._fail(f"blade index {a} out of range 1..{self.sig.n}", tok)
             if a <= prev:
-                raise ParseError("blade indices must be strictly increasing", line, col)
+                self._fail("blade indices must be strictly increasing", tok)
             prev = a
             mask |= 1 << (a - 1)
         return mask
@@ -225,6 +215,8 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
 
 
 def _format_float(v: float) -> str:
+    if v == 0:
+        return "0.0"  # negating a zero part gives -0.0; print both zeros alike
     s = repr(v)
     if "e" in s or "E" in s:
         # expand tiny/huge magnitudes positionally; keep 17 significant digits

@@ -20,14 +20,18 @@ griconj      +    -    +    -    -     +     -     +
 griphc       +    -    -    +    -     +     +     -
 ==========  ===  ===  ===  ===  ====  ====  ====  ====
 
-The closure tables for commutator and anticommutator are hard-coded below
-and re-derived from exhaustive blade arithmetic at n=5 when the module is
-imported; a transcription error fails the import.
+The main types form a Klein four-group under XOR of their labels, and both
+closure tables are closed forms in it: {U,V} of main types k1, k2 has type
+``k1 ^ k2`` and [U,V] has type ``k1 ^ k2 ^ 2``; imaginary flags combine by
+XOR too.  :func:`table_witnesses` derives the tables from exhaustive blade
+arithmetic instead, and the import checks the XOR law against it at n=5, so
+a wrong law fails the import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     COMPLEX,
@@ -37,7 +41,7 @@ from .algebra import (
     REAL,
     Multivector,
     Signature,
-    blade_mul,
+    sign_mask,
 )
 from .errors import AlgebraError
 
@@ -166,18 +170,8 @@ def parse_typeset(text: str, field: str = REAL) -> TypeSet:
 
 # Main-type closure of the commutator / anticommutator, row = left atom,
 # column = right atom.  Imaginary flags combine by XOR.
-_COMM_MAIN = (
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-)
-_ACOMM_MAIN = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
+_COMM_MAIN = tuple(tuple(k1 ^ k2 ^ 2 for k2 in range(4)) for k1 in range(4))
+_ACOMM_MAIN = tuple(tuple(k1 ^ k2 for k2 in range(4)) for k1 in range(4))
 
 
 def _pairwise_type(a: TypeSet, b: TypeSet, table) -> TypeSet:
@@ -314,8 +308,6 @@ def _exact_div(value, d: int):
     if isinstance(value, int):
         if value % d == 0:
             return value // d
-        from fractions import Fraction
-
         return Fraction(value, d)
     return value / d  # Fraction or float
 
@@ -339,34 +331,33 @@ def _component_nonzero(w: Multivector, tol, scale) -> bool:
     return w.max_abs() > tol * scale
 
 
+def atom_components(u: Multivector):
+    """Yield ``((k, imaginary), component)`` of u for k = 0..3, atom k before ik.
+
+    The main-type part comes from the conjugation projector; over the
+    complexes complex conjugation splits it into its real and imaginary parts.
+    """
+    half = 0.5 if u.backend == FLOAT else Fraction(1, 2)
+    for k in range(4):
+        w = qtype_project(u, k)
+        if u.field == COMPLEX:
+            c = w.complex_conjugate()
+            yield (k, False), (w + c).scale(half)
+            yield (k, True), (w - c).scale(half)
+        else:
+            yield (k, False), w
+
+
 def classify_by_conjugation(u: Multivector, tol=None) -> TypeSet:
     """Classify via projector decomposition; must agree with classify_by_rank."""
     if tol is None and u.backend == FLOAT:
         tol = FLOAT_TOL
     scale = u.max_abs()
     bits = 0
-    for k in range(4):
-        w = qtype_project(u, k)
-        if u.field == COMPLEX:
-            c = w.complex_conjugate()
-            re_part = (w + c).scale(_half(u))
-            im_part = (w - c).scale(_half(u))
-            if _component_nonzero(re_part, tol, scale):
-                bits |= 1 << k
-            if _component_nonzero(im_part, tol, scale):
-                bits |= 1 << (4 + k)
-        else:
-            if _component_nonzero(w, tol, scale):
-                bits |= 1 << k
+    for (k, imag), w in atom_components(u):
+        if _component_nonzero(w, tol, scale):
+            bits |= _atom_bit(k, imag)
     return TypeSet(u.field, bits)
-
-
-def _half(u: Multivector):
-    if u.backend == FLOAT:
-        return 0.5
-    from fractions import Fraction
-
-    return Fraction(1, 2)
 
 
 def member(u: Multivector, tset: TypeSet, tol=None) -> bool:
@@ -399,41 +390,41 @@ def main_type_dim(n: int, k: int) -> int:
 
 # ------------------------------------------------------------------ startup self-check
 
-def _derive_main_tables(sig: Signature):
-    """Rederive both closure tables from exhaustive blade arithmetic.
+_TABLE_OPS = ("anticommutator", "commutator")
 
-    [e_A, e_B] and {e_A, e_B} are (s1 -+ s2) e_{A xor B} with s1, s2 the two
-    blade product signs, so the whole table falls out of sign comparisons.
+
+def table_witnesses(sig: Signature) -> dict:
+    """First blade pair ``(a, b)`` for each ``(op, row, column, atom)`` of the tables.
+
+    [e_a, e_b] and {e_a, e_b} are (s1 -+ s2) e_{a xor b} with s1, s2 the two
+    blade product signs, so every pair lands in exactly one table.  Pairs are
+    visited in (a, b) order and the keys keep the order they were found in.
     """
-    comm = [[set() for _ in range(4)] for _ in range(4)]
-    acomm = [[set() for _ in range(4)] for _ in range(4)]
     size = 1 << sig.n
+    masks = [sign_mask(a, sig.p) for a in range(size)]
+    found: dict = {}
     for a in range(size):
+        sa = masks[a]
         ka = a.bit_count() & 3
         for b in range(size):
-            kb = b.bit_count() & 3
-            s1, m = blade_mul(a, b, sig)
-            s2, _ = blade_mul(b, a, sig)
-            if s1 != s2:
-                comm[ka][kb].add(m.bit_count() & 3)
-            else:
-                acomm[ka][kb].add(m.bit_count() & 3)
-    return comm, acomm
+            op = _TABLE_OPS[((b & sa).bit_count() ^ (a & masks[b]).bit_count()) & 1]
+            found.setdefault((op, ka, b.bit_count() & 3, (a ^ b).bit_count() & 3), (a, b))
+    return found
 
 
 def _startup_self_check():
-    derived_comm, derived_acomm = _derive_main_tables(Signature(5, 0))
-    for table, derived, label in (
-        (_COMM_MAIN, derived_comm, "commutator"),
-        (_ACOMM_MAIN, derived_acomm, "anticommutator"),
-    ):
-        for k1 in range(4):
-            for k2 in range(4):
-                if derived[k1][k2] != {table[k1][k2]}:
-                    raise RuntimeError(
-                        f"{label} closure table self-check failed at ({k1},{k2}): "
-                        f"derived {sorted(derived[k1][k2])}, stored {table[k1][k2]}"
-                    )
+    derived = set(table_witnesses(Signature(5, 0)))
+    stored = {
+        (op, k1, k2, table[k1][k2])
+        for op, table in zip(_TABLE_OPS, (_ACOMM_MAIN, _COMM_MAIN))
+        for k1 in range(4)
+        for k2 in range(4)
+    }
+    if derived != stored:
+        raise RuntimeError(
+            "closure table self-check failed; (op, row, column, atom) entries where "
+            f"blade arithmetic and the XOR law differ: {sorted(derived ^ stored)}"
+        )
 
 
 _startup_self_check()

@@ -147,47 +147,42 @@ class TableReport:
 def derive_tables(max_n: int) -> tuple[TableReport, TableReport]:
     """Derive the commutator and anticommutator closure tables exhaustively.
 
-    For every signature with p+q <= max_n and every pair of basis blades,
-    computes both brackets exactly and classifies the result by rank.  A
-    mismatch is an atom outside the hard-coded table entry (with a witness
-    pair); a cell the enumeration never populated is reported undetermined.
+    For every signature with p+q <= max_n, :func:`qtype.table_witnesses`
+    classifies both brackets of every pair of basis blades by rank.  The
+    derived cells are compared with the stored tables, which follow the XOR
+    law ``k1 ^ k2 ^ 2`` (commutator) and ``k1 ^ k2`` (anticommutator).  A
+    mismatch is an atom outside the stored entry (with a witness pair); a
+    cell the enumeration never populated is reported undetermined.
     """
     if not 1 <= max_n <= 8:
         raise AlgebraError(f"max_n must be in 1..8, got {max_n}")
     sigs = list(signatures_up_to(max_n))
+    witnesses = [(sig, qtype.table_witnesses(sig)) for sig in sigs]
     reports = []
-    for opname, table, keep in (
-        ("commutator", qtype._COMM_MAIN, lambda s1, s2: s1 != s2),
-        ("anticommutator", qtype._ACOMM_MAIN, lambda s1, s2: s1 == s2),
+    for opname, table in (
+        ("commutator", qtype._COMM_MAIN),
+        ("anticommutator", qtype._ACOMM_MAIN),
     ):
         derived = [[set() for _ in range(4)] for _ in range(4)]
         report = TableReport(opname, max_n, [(s.p, s.q) for s in sigs], derived)
-        for sig in sigs:
-            size = 1 << sig.n
-            for a in range(size):
-                ka = a.bit_count() & 3
-                row = derived[ka]
-                for b in range(size):
-                    s1, m = blade_mul(a, b, sig)
-                    s2, _ = blade_mul(b, a, sig)
-                    if keep(s1, s2):
-                        kb = b.bit_count() & 3
-                        k = m.bit_count() & 3
-                        if k not in row[kb]:
-                            row[kb].add(k)
-                            if k != table[ka][kb]:
-                                report.mismatches.append(
-                                    {
-                                        "op": opname,
-                                        "row": ka,
-                                        "col": kb,
-                                        "derived_atom": k,
-                                        "expected": table[ka][kb],
-                                        "sig": (sig.p, sig.q),
-                                        "blade_a": list(blade_indices(a)),
-                                        "blade_b": list(blade_indices(b)),
-                                    }
-                                )
+        for sig, found in witnesses:
+            for (op, ka, kb, k), (a, b) in found.items():
+                if op != opname or k in derived[ka][kb]:
+                    continue
+                derived[ka][kb].add(k)
+                if k != table[ka][kb]:
+                    report.mismatches.append(
+                        {
+                            "op": opname,
+                            "row": ka,
+                            "col": kb,
+                            "derived_atom": k,
+                            "expected": table[ka][kb],
+                            "sig": (sig.p, sig.q),
+                            "blade_a": list(blade_indices(a)),
+                            "blade_b": list(blade_indices(b)),
+                        }
+                    )
         for k1 in range(4):
             for k2 in range(4):
                 if not derived[k1][k2]:

@@ -20,6 +20,7 @@ from cliffqt import (
     commutator,
     mask_from_indices,
     parse_mv,
+    sign_mask,
 )
 
 from conftest import random_mv
@@ -53,6 +54,15 @@ def test_blade_mul_generator_squares():
     sig = Signature(1, 1)
     assert blade_mul(0b01, 0b01, sig) == (1, 0)   # e1*e1 = +e
     assert blade_mul(0b10, 0b10, sig) == (-1, 0)  # e2*e2 = -e
+
+
+def test_sign_mask_examples():
+    # e123 * e2 = -e13: the mask of e123 is (0b11 ^ 0b1) = 0b10 below p
+    assert sign_mask(0b111, 3) == 0b010
+    assert blade_mul(0b111, 0b010, Signature(3, 0)) == (-1, 0b101)
+    # with p = 0 every shared generator squares to -1
+    assert sign_mask(0b1, 0) == 0b1
+    assert sign_mask(0, 2) == 0
 
 
 def test_blade_mul_identity():

@@ -74,6 +74,21 @@ def test_parse_errors_carry_position():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 1 and err.col == 5
+    err = None
+    try:
+        parse_mv("1 +\n  e9", sig)
+    except ParseError as exc:
+        err = exc
+    assert err is not None and err.line == 2 and err.col == 3
+
+
+def test_float_zero_parts_print_as_float_zero():
+    sig = Signature(2, 0)
+    u = parse_mv("1+e1", sig, backend=FLOAT)
+    v = parse_mv("e1", sig, backend=FLOAT)
+    for w in (u * v, -v):
+        terms = mv_to_dict(w)["terms"]
+        assert terms and all(t["im"] == "0.0" for t in terms)
 
 
 def test_format_examples():

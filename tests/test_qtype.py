@@ -28,6 +28,7 @@ from cliffqt import (
     qtype_project,
 )
 
+from cliffqt import qtype
 from conftest import random_mv
 
 
@@ -190,6 +191,18 @@ def test_tables_symmetric_in_arguments():
             a, b = TypeSet(REAL, b1), TypeSet(REAL, b2)
             assert commutator_type(a, b) == commutator_type(b, a)
             assert anticommutator_type(a, b) == anticommutator_type(b, a)
+
+
+def test_table_witnesses_reproduce_their_atom():
+    sig = Signature(2, 1)
+    bracket = {"commutator": commutator, "anticommutator": anticommutator}
+    found = qtype.table_witnesses(sig)
+    assert {op for op, *_ in found} == set(bracket)
+    for (op, ka, kb, k), (a, b) in found.items():
+        assert (a.bit_count() & 3, b.bit_count() & 3) == (ka, kb)
+        u = Multivector.basis_blade(sig, a)
+        v = Multivector.basis_blade(sig, b)
+        assert classify_by_rank(bracket[op](u, v)) == ts(str(k))
 
 
 def test_closure_soundness_on_blades_small_n():

@@ -1,6 +1,6 @@
 import pytest
 
-from cliffqt import AlgebraError, Signature, blade_mul
+from cliffqt import COMPLEX, REAL, AlgebraError, Multivector, Signature, blade_mul
 from cliffqt import qtype
 from cliffqt.verify import (
     derive_tables,
@@ -33,7 +33,12 @@ def test_naive_matches_fast_spot():
     sig = Signature(2, 3)
     for a in range(32):
         for b in range(32):
-            assert naive_blade_product(a, b, sig) == blade_mul(a, b, sig)
+            sign, mask = naive_blade_product(a, b, sig)
+            assert (sign, mask) == blade_mul(a, b, sig)
+            for field in (REAL, COMPLEX):
+                u = Multivector.basis_blade(sig, a, field=field)
+                v = Multivector.basis_blade(sig, b, field=field)
+                assert u * v == Multivector.basis_blade(sig, mask, sign, field=field)
 
 
 def test_signatures_up_to():
