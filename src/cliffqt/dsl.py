@@ -28,6 +28,7 @@ per-node rule can see.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,7 @@ from .qtype import (
     commutator_type,
     conjugation_bits,
     eigenspace,
+    main_type_dim,
     member,
     parse_typeset,
     product_type,
@@ -201,9 +203,17 @@ def _tokenize(text: str):
 
 
 class _DslParser:
+    # Deepest expression tree accepted, and deepest nesting of brackets and
+    # prefixes.  A nesting level costs the parser four frames; a tree level
+    # costs one frame in each recursive pass (canonical_form, inference,
+    # evaluation, formatting).  100 keeps all of them far below Python's
+    # default recursion limit of 1000.
+    MAX_DEPTH = 100
+
     def __init__(self, text: str, field: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.field = field
         self.types: dict[str, TypeSet] = {}
         self.declared: set[str] = set()
@@ -233,9 +243,22 @@ class _DslParser:
         tok = self._peek()
         if tok[0] != "EOF":
             self._fail(f"unexpected trailing input {tok[1]!r}")
+        self._check_tree_depth(expr)
         for name in sorted(free_symbols(expr)):
             self.types.setdefault(name, TypeSet.full(self.field))
         return TypeEnv(self.field, self.types), expr
+
+    def _check_tree_depth(self, expr: Expr) -> None:
+        """Reject a tree deeper than MAX_DEPTH, such as a very long sum or product."""
+        stack = [(expr, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > self.MAX_DEPTH:
+                raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels", *node.pos)
+            for attr in ("left", "right", "child"):
+                sub = getattr(node, attr, None)
+                if sub is not None:
+                    stack.append((sub, depth + 1))
 
     def _decl(self):
         self._next()  # let
@@ -293,6 +316,15 @@ class _DslParser:
         return node
 
     def _unary(self) -> Expr:
+        """Every nesting of brackets and prefixes passes through here."""
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            self._fail(f"expression nested deeper than {self.MAX_DEPTH} levels")
+        node = self._prefixed()
+        self.depth -= 1
+        return node
+
+    def _prefixed(self) -> Expr:
         kind, lexeme, pos = self._peek()
         if kind in ("INT", "DECIMAL"):
             self._next()
@@ -628,9 +660,50 @@ def _eval(expr: Expr, bindings: dict) -> Multivector:
 
 # ------------------------------------------------------------------ random instances
 
+# Bound on a draw's expected term count, density times the eligible blades.
+# It admits every dense draw up to n = 20 (2^21 terms for the full complex
+# type) and refuses a dense type-2 draw at n = 30 (2^28 terms).
+MAX_EXPECTED_TERMS = 1 << 21
+
+
 def default_density(n: int) -> float:
     """Full density for small algebras, sparse for large ones."""
     return 1.0 if n <= 10 else 0.002
+
+
+def _unrank_subset(index: int, n: int, r: int) -> list[int]:
+    """The r-subset of range(n) at position ``index`` in colex order, largest first.
+
+    Combinatorial number system: ``index = C(c_r, r) + ... + C(c_1, 1)`` with
+    ``n > c_r > ... > c_1 >= 0``, each ``c_j`` the largest that fits.
+    """
+    out = []
+    c = n
+    for j in range(r, 0, -1):
+        c -= 1
+        while math.comb(c, j) > index:
+            c -= 1
+        index -= math.comb(c, j)
+        out.append(c)
+    return out
+
+
+def _skip_sample(rng: random.Random, n: int, r: int, density: float):
+    """Yield each r-subset of range(n) independently with probability density.
+
+    Walks the subsets' colex ranks in geometric gaps, P(gap >= g) =
+    (1 - density)^g, so the work is proportional to the subsets kept, not to
+    C(n, r).
+    """
+    log_miss = math.log1p(-density)
+    last = math.comb(n, r) - 1
+    index = -1
+    while True:
+        gap = math.log(1.0 - rng.random()) / log_miss
+        if gap >= last - index:  # floor(gap) reaches past the last rank
+            return
+        index += 1 + int(gap)
+        yield _unrank_subset(index, n, r)
 
 
 def random_instance(
@@ -644,20 +717,34 @@ def random_instance(
 
     Supported blades have rank = k mod 4 for the set's atoms; imaginary atoms
     get purely imaginary coefficients.  Each eligible blade is kept with the
-    given probability (default: density 1 for n <= 10, 0.002 above).
+    given probability (default: density 1 for n <= 10, 0.002 above).  Below
+    density 1 the kept blades are reached by geometric skips, so a draw takes
+    time proportional to its expected number of terms, density times the
+    eligible blades; a draw expecting more than ``MAX_EXPECTED_TERMS`` raises
+    ``AlgebraError``.
     """
     if density is None:
         density = default_density(sig.n)
     if not 0 < density <= 1:
         raise AlgebraError(f"density must be in (0, 1], got {density}")
+    limit = MAX_EXPECTED_TERMS / density
+    # each blade is eligible for at most two atoms (real and imaginary), so
+    # the exact count is needed only when 2^(n+1) could exceed the limit
+    if 2 << sig.n > limit and sum(main_type_dim(sig.n, k) for k, _ in tset.atoms()) > limit:
+        raise AlgebraError(
+            f"a draw of type {tset} in Cl({sig.p},{sig.q}) at density {density} "
+            f"expects more than {MAX_EXPECTED_TERMS} terms; lower the density"
+        )
     rng = random.Random(seed)
     terms: dict[int, list] = {}
     zero = 0.0 if backend == FLOAT else 0
     for k, imag in tset.atoms():
         for r in range(k, sig.n + 1, 4):
-            for combo in itertools.combinations(range(sig.n), r):
-                if density < 1.0 and rng.random() >= density:
-                    continue
+            if density < 1.0:
+                blades = _skip_sample(rng, sig.n, r, density)
+            else:
+                blades = itertools.combinations(range(sig.n), r)
+            for combo in blades:
                 if backend == FLOAT:
                     value = rng.uniform(-1.0, 1.0) or 1.0
                 else:

@@ -312,17 +312,25 @@ def _exact_div(value, d: int):
     return value / d  # Fraction or float
 
 
+def _conjugates(u: Multivector) -> tuple:
+    """u with its grade involution, reversion and their composition."""
+    g = u.grade_involution()
+    return u, g, u.reversion(), g.reversion()
+
+
+def _project(conjugates: tuple, k: int) -> Multivector:
+    u, g, r, gr = conjugates
+    s1, s2, s3 = _PROJ_SIGNS[k]
+    total = u + g.scale(s1) + r.scale(s2) + gr.scale(s3)
+    out = {m: (_exact_div(re, 4), _exact_div(im, 4)) for m, (re, im) in total._terms.items()}
+    return Multivector._raw(u.sig, u.field, u.backend, out)
+
+
 def qtype_project(u: Multivector, k: int) -> Multivector:
     """Component of u in main type k, via the conjugation projector."""
     if not 0 <= k <= 3:
         raise AlgebraError(f"main type {k} out of range 0..3")
-    s1, s2, s3 = _PROJ_SIGNS[k]
-    g = u.grade_involution()
-    r = u.reversion()
-    gr = g.reversion()
-    total = u + g.scale(s1) + r.scale(s2) + gr.scale(s3)
-    out = {m: (_exact_div(re, 4), _exact_div(im, 4)) for m, (re, im) in total._terms.items()}
-    return Multivector._raw(u.sig, u.field, u.backend, out)
+    return _project(_conjugates(u), k)
 
 
 def _component_nonzero(w: Multivector, tol, scale) -> bool:
@@ -338,8 +346,9 @@ def atom_components(u: Multivector):
     complexes complex conjugation splits it into its real and imaginary parts.
     """
     half = 0.5 if u.backend == FLOAT else Fraction(1, 2)
+    conjugates = _conjugates(u)
     for k in range(4):
-        w = qtype_project(u, k)
+        w = _project(conjugates, k)
         if u.field == COMPLEX:
             c = w.complex_conjugate()
             yield (k, False), (w + c).scale(half)

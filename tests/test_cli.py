@@ -119,6 +119,27 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "program",
+    [
+        "let x:1; " + "rev(" * 600 + "x" + ")" * 600,
+        "(" * 3000 + "x" + ")" * 3000,
+        "x" + " + x" * 3000,
+    ],
+    ids=["rev", "parens", "sum"],
+)
+def test_deep_nesting_is_a_parse_error(capsys, program):
+    code, _, err = run(capsys, "infer", program)
+    assert code == 2
+    assert "nested deeper than" in err and "line 1, column" in err
+
+
+def test_check_refuses_an_oversized_draw(capsys):
+    code, _, err = run(capsys, "check", "--sig", "30,0", "--density", "1", "let x:2; x")
+    assert code == 2
+    assert "expects more than" in err
+
+
 def test_selftest_pass(capsys):
     code, out, _ = run(capsys, "selftest", "--max-n", "4")
     assert code == 0

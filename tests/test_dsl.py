@@ -1,3 +1,6 @@
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,9 +39,11 @@ from cliffqt.dsl import (
     Prod,
     ScalarMul,
     Sym,
+    _unrank_subset,
     canonical_form,
     free_symbols,
 )
+from cliffqt.mvtext import format_mv
 
 
 def ts(text, field=REAL):
@@ -288,6 +293,44 @@ def test_random_instance_float_backend():
     u = random_instance(ts("02"), Signature(3, 1), seed=4, backend=FLOAT)
     assert u.backend == FLOAT
     assert all(isinstance(re, float) for _, (re, _) in u.terms())
+
+
+def test_random_instance_density_one_stream_is_pinned():
+    # density 1 keeps its random stream, so old counterexample seeds replay
+    u = random_instance(ts("02+i13", COMPLEX), Signature(2, 1), 7)
+    assert format_mv(u) == "2 - 7i*e1 + 9i*e2 - 6i*e3 - 5*e12 + 4*e13 - 8*e23 + 3i*e123"
+    u = random_instance(ts("0123"), Signature(3, 0), 1, 1.0)
+    assert format_mv(u) == "-5 - 7*e1 - e2 - 6*e3 + 7*e12 + 6*e13 + 7*e23 + 4*e123"
+
+
+def test_unrank_subset_is_a_bijection():
+    for n in range(11):
+        for r in range(n + 1):
+            subsets = [_unrank_subset(i, n, r) for i in range(math.comb(n, r))]
+            assert all(len(s) == r for s in subsets)
+            assert {tuple(sorted(s)) for s in subsets} == set(itertools.combinations(range(n), r))
+
+
+def test_sparse_sampling_keeps_each_eligible_blade_at_the_density():
+    sig, density, seeds = Signature(6, 0), 0.3, 2000
+    t = ts("01+i12", COMPLEX)
+    eligible = {(m, imag) for m in range(64) for k, imag in t.atoms() if m.bit_count() % 4 == k}
+    kept = Counter()
+    for seed in range(seeds):
+        for m, (re, im) in random_instance(t, sig, seed, density).terms():
+            kept[m, False] += re != 0
+            kept[m, True] += im != 0
+    assert {pair for pair, count in kept.items() if count} <= eligible
+    sigma = math.sqrt(seeds * density * (1 - density))
+    for pair in eligible:
+        assert abs(kept[pair] - seeds * density) < 5 * sigma, pair
+
+
+def test_sparse_sampling_scales_with_the_kept_terms():
+    # 2^38 eligible blades: only skipping over them can finish
+    u = random_instance(ts("2"), Signature(40, 0), seed=3, density=1e-9)
+    assert 150 < len(u) < 450  # about 275 expected
+    assert all(m.bit_count() % 4 == 2 for m, _ in u.terms())
 
 
 # ---------------------------------------------------------------- soundness checking
