@@ -96,6 +96,16 @@ def sign_mask(a: int, p: int) -> int:
     return mask
 
 
+def swap_mask(a: int) -> int:
+    """Mask T with e_a * e_b = -e_b * e_a exactly when popcount(b & T) is odd.
+
+    The swap sign is (-1)^(|a||b| - |a & b|).  For even |a| its parity is
+    that of popcount(a & b); for odd |a| it is that of |b| + |a & b|, the
+    parity of popcount(b & ~a).
+    """
+    return ~a if a.bit_count() & 1 else a
+
+
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Product of two basis blades as ``(sign, result mask)``.
 
@@ -303,49 +313,7 @@ class Multivector:
             return self.scale(other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._compat(other)
-        if self.backend != other.backend:
-            raise AlgebraError(f"backend mismatch: {self.backend} vs {other.backend}")
-        p = self.sig.p
-        out: dict[int, tuple] = {}
-        get = out.get
-        if self.field == REAL:
-            zero = 0.0 if self.backend == FLOAT else 0
-            for ma, (ra, _) in self._terms.items():
-                sa = sign_mask(ma, p)
-                for mb, (rb, _) in other._terms.items():
-                    re = -ra * rb if (mb & sa).bit_count() & 1 else ra * rb
-                    m = ma ^ mb
-                    cur = get(m)
-                    if cur is None:
-                        out[m] = (re, zero)
-                    else:
-                        re += cur[0]
-                        if re == 0:
-                            del out[m]
-                        else:
-                            out[m] = (re, zero)
-        else:
-            for ma, (ra, ia) in self._terms.items():
-                sa = sign_mask(ma, p)
-                for mb, (rb, ib) in other._terms.items():
-                    re = ra * rb - ia * ib
-                    im = ra * ib + ia * rb
-                    if (mb & sa).bit_count() & 1:
-                        re = -re
-                        im = -im
-                    m = ma ^ mb
-                    cur = get(m)
-                    if cur is None:
-                        out[m] = (re, im)
-                    else:
-                        re += cur[0]
-                        im += cur[1]
-                        if re == 0 and im == 0:
-                            del out[m]
-                        else:
-                            out[m] = (re, im)
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return _product(self, other)
 
     # ---------------------------------------------------------------- gradings
 
@@ -395,9 +363,81 @@ class Multivector:
         return self.reversion().complex_conjugate()
 
 
+def _product(u: Multivector, v: Multivector, keep: int | None = None) -> Multivector:
+    """Sum over term pairs of s(A, B) u_A v_B e_(A ^ B), with s from sign_mask.
+
+    ``keep`` None takes every pair (the geometric product).  Otherwise a pair
+    is taken, with its coefficient doubled, only when the parity of
+    ``(B & swap_mask(A)).bit_count()`` equals ``keep``: 1 keeps the
+    anticommuting pairs (the commutator), 0 the commuting ones (the
+    anticommutator).
+    """
+    u._compat(v)
+    if u.backend != v.backend:
+        raise AlgebraError(f"backend mismatch: {u.backend} vs {v.backend}")
+    p = u.sig.p
+    real = u.field == REAL
+    zero = 0.0 if u.backend == FLOAT else 0
+    vterms = list(v._terms.items())
+    out: dict[int, tuple] = {}
+    get = out.get
+    for ma, (ra, ia) in u._terms.items():
+        sa = sign_mask(ma, p)
+        pairs = vterms
+        if keep is not None:
+            ta = swap_mask(ma)
+            pairs = [t for t in vterms if (t[0] & ta).bit_count() & 1 == keep]
+            ra += ra
+            ia += ia
+        if real:
+            for mb, (rb, _) in pairs:
+                re = -ra * rb if (mb & sa).bit_count() & 1 else ra * rb
+                m = ma ^ mb
+                cur = get(m)
+                if cur is None:
+                    out[m] = (re, zero)
+                else:
+                    re += cur[0]
+                    if re == 0:
+                        del out[m]
+                    else:
+                        out[m] = (re, zero)
+        else:
+            for mb, (rb, ib) in pairs:
+                re = ra * rb - ia * ib
+                im = ra * ib + ia * rb
+                if (mb & sa).bit_count() & 1:
+                    re = -re
+                    im = -im
+                m = ma ^ mb
+                cur = get(m)
+                if cur is None:
+                    out[m] = (re, im)
+                else:
+                    re += cur[0]
+                    im += cur[1]
+                    if re == 0 and im == 0:
+                        del out[m]
+                    else:
+                        out[m] = (re, im)
+    return Multivector._raw(u.sig, u.field, u.backend, out)
+
+
 def commutator(u: Multivector, v: Multivector) -> Multivector:
-    return u * v - v * u
+    """[u, v] = u*v - v*u, computed in one pass over the term pairs.
+
+    e_A e_B = (-1)^(|A||B| - |A & B|) e_B e_A, so a commuting pair cancels
+    and an anticommuting pair contributes 2 s(A, B) u_A v_B e_(A ^ B).  Only
+    the anticommuting pairs are multiplied.  On the exact backend the result
+    equals u*v - v*u; on the float backend it may differ in the last bits,
+    because cancelled pairs are now exactly zero instead of rounding residues.
+    """
+    return _product(u, v, 1)
 
 
 def anticommutator(u: Multivector, v: Multivector) -> Multivector:
-    return u * v + v * u
+    """{u, v} = u*v + v*u: 2 s(A, B) u_A v_B e_(A ^ B) over the commuting pairs.
+
+    One pass, as in :func:`commutator`; the same float-backend note applies.
+    """
+    return _product(u, v, 0)

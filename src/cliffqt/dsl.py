@@ -85,7 +85,7 @@ class Neg(Expr):
 
 @dataclass(frozen=True)
 class ScalarMul(Expr):
-    factor: Fraction
+    factor: int | Fraction  # an int when integral
     child: Expr
     pos: tuple = field(default=None, compare=False, repr=False)
 
@@ -338,6 +338,8 @@ class _DslParser:
                 factor = Fraction(int(lexeme), int(dlex))
             else:
                 factor = Fraction(lexeme)
+            if factor.denominator == 1:
+                factor = int(factor)
             if self._peek()[0] == "*":
                 self._next()
             return ScalarMul(factor, self._unary(), pos=pos)
@@ -430,14 +432,31 @@ def format_program(env: TypeEnv, expr: Expr) -> str:
 
 # ------------------------------------------------------------------ normal form
 
-# A canonical form is a polynomial: {monomial: (re, im)} with Fraction parts.
-# A monomial is a tuple of factors, each ("sym", name, conj_bits) or
-# ("comm"/"acomm", mono, mono).  Product factor order is preserved; comm
-# operands are sorted with a sign flip, acomm operands are sorted freely.
+# A canonical form is a polynomial: {monomial: (re, im)} with int parts, or
+# Fraction parts where a non-integral scalar factor enters.  A monomial is a
+# tuple of factors, each ("sym", name, conj_bits) or ("comm"/"acomm", mono,
+# mono).  Product factor order is preserved; comm operands are sorted with a
+# sign flip, acomm operands are sorted freely.
 
 _REV_BIT, _GRI_BIT, _CCONJ_BIT = 1, 2, 4
-_ZERO = Fraction(0)
-_ONE = (Fraction(1), _ZERO)
+_ONE = (1, 0)
+
+# Most term pairs one product or bracket of normal forms may combine.  The
+# expansion of (x+y)*...*(x+y) doubles per factor; past this bound inference
+# keeps the compositional type, which is sound, only less precise.
+MAX_MONOMIALS = 4096
+
+
+class _TooManyMonomials(AlgebraError):
+    """A normal form would combine more than MAX_MONOMIALS term pairs."""
+
+
+def _check_pairs(p1: dict, p2: dict) -> None:
+    if len(p1) * len(p2) > MAX_MONOMIALS:
+        raise _TooManyMonomials(
+            f"normal form would combine {len(p1)} x {len(p2)} monomials, "
+            f"more than {MAX_MONOMIALS}"
+        )
 
 
 def _cmul(c1, c2):
@@ -472,6 +491,7 @@ def _poly_neg(p: dict) -> dict:
 
 
 def _poly_mul(p1: dict, p2: dict) -> dict:
+    _check_pairs(p1, p2)
     out: dict = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
@@ -490,6 +510,7 @@ def _poly_mul(p1: dict, p2: dict) -> dict:
 
 
 def _poly_bracket(p1: dict, p2: dict, anti: bool) -> dict:
+    _check_pairs(p1, p2)
     out: dict = {}
     for m1, c1 in p1.items():
         k1 = repr(m1)
@@ -522,6 +543,8 @@ def canonical_form(expr: Expr, conj: int = 0) -> dict:
     """Normal form of a conjugation applied to expr, conjugations at symbols.
 
     ``conj`` is a (rev, gri, conj) bit code; 0 normalizes expr itself.
+    Raises ``AlgebraError`` when a product or bracket would combine more than
+    ``MAX_MONOMIALS`` term pairs.
     """
     if isinstance(expr, Sym):
         return {(("sym", expr.name, conj),): _ONE}
@@ -532,10 +555,10 @@ def canonical_form(expr: Expr, conj: int = 0) -> dict:
     if isinstance(expr, Neg):
         return _poly_neg(canonical_form(expr.child, conj))
     if isinstance(expr, ScalarMul):
-        return _poly_scale(canonical_form(expr.child, conj), (Fraction(expr.factor), _ZERO))
+        return _poly_scale(canonical_form(expr.child, conj), (expr.factor, 0))
     if isinstance(expr, IMul):
         # antilinear conjugations flip i
-        unit = (_ZERO, Fraction(-1)) if conj & _CCONJ_BIT else (_ZERO, Fraction(1))
+        unit = (0, -1) if conj & _CCONJ_BIT else (0, 1)
         return _poly_scale(canonical_form(expr.child, conj), unit)
     if isinstance(expr, Prod):
         lhs = canonical_form(expr.left, conj)
@@ -589,9 +612,18 @@ def _infer_compositional(expr: Expr, env: TypeEnv) -> TypeSet:
 
 
 def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
-    """Sound TypeSet over-approximation of the expression's value."""
+    """Sound TypeSet over-approximation of the expression's value.
+
+    When the normal form would exceed ``MAX_MONOMIALS``, the refinement pass
+    is skipped and the compositional type is returned.
+    """
     result = _infer_compositional(expr, env)
-    base = canonical_form(expr)
+    # a conjugation maps monomials one to one, so when the base form is within
+    # MAX_MONOMIALS, so are the rewritten forms below
+    try:
+        base = canonical_form(expr)
+    except _TooManyMonomials:
+        return result
     if not base:
         # the normal form cancelled everything: the value is identically zero
         return TypeSet.empty(env.field)

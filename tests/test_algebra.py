@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ from cliffqt import (
     COMPLEX,
     EXACT,
     FLOAT,
+    FLOAT_TOL,
     REAL,
     AlgebraError,
     Multivector,
@@ -23,6 +25,8 @@ from cliffqt import (
     sign_mask,
 )
 
+from cliffqt.algebra import swap_mask
+from cliffqt.verify import naive_blade_product
 from conftest import random_mv
 
 
@@ -280,6 +284,54 @@ def test_bracket_reconstructs_product(rng):
         sig = Signature(2, 2)
         u, v = random_mv(sig, rng), random_mv(sig, rng)
         assert (commutator(u, v) + anticommutator(u, v)).scale(half) == u * v
+
+
+ALL_SIGNATURES_N6 = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p,q", ALL_SIGNATURES_N6)
+def test_brackets_equal_two_products_exactly(p, q, field, rng):
+    sig = Signature(p, q)
+    for _ in range(6):
+        u = random_mv(sig, rng, field, max_terms=12)
+        w = random_mv(sig, rng, field, max_terms=12)
+        # operands sharing terms with u make pairs whose products cancel
+        for v in (w, u, u + w, w - u.scale(2)):
+            uv, vu = u * v, v * u
+            assert commutator(u, v)._terms == (uv - vu)._terms
+            assert anticommutator(u, v)._terms == (uv + vu)._terms
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_float_brackets_match_two_products(field, rng):
+    for p, q in ((3, 0), (2, 2), (4, 2), (0, 5)):
+        sig = Signature(p, q)
+        for _ in range(10):
+            u = random_mv(sig, rng, field, FLOAT, max_terms=16)
+            v = random_mv(sig, rng, field, FLOAT, max_terms=16)
+            uv, vu = u * v, v * u
+            for fused, reference in ((commutator(u, v), uv - vu), (anticommutator(u, v), uv + vu)):
+                scale = max(reference.max_abs(), fused.max_abs(), 1.0)
+                for m in set(fused._terms) | set(reference._terms):
+                    for x, y in zip(fused.coeff(m), reference.coeff(m)):
+                        assert abs(x - y) <= FLOAT_TOL * scale
+                if field == REAL:
+                    for _, (_, im) in fused.terms():
+                        assert im == 0.0 and math.copysign(1.0, im) == 1.0
+
+
+def test_swap_mask_matches_naive_commutation():
+    for n in range(1, 7):
+        sig = Signature(n // 2, n - n // 2)
+        for a in range(1 << n):
+            t = swap_mask(a)
+            for b in range(1 << n):
+                s_ab, _ = naive_blade_product(a, b, sig)
+                s_ba, _ = naive_blade_product(b, a, sig)
+                anticommute = (b & t).bit_count() & 1
+                closed_form = ((a.bit_count() & b.bit_count() & 1) ^ (a & b).bit_count()) & 1
+                assert anticommute == closed_form == (s_ab != s_ba), (n, a, b)
 
 
 def test_exact_backend_stays_rational(rng):

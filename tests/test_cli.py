@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -138,6 +139,14 @@ def test_check_refuses_an_oversized_draw(capsys):
     code, _, err = run(capsys, "check", "--sig", "30,0", "--density", "1", "let x:2; x")
     assert code == 2
     assert "expects more than" in err
+
+
+def test_infer_long_product_keeps_the_compositional_type(capsys):
+    program = "let x:1; let y:2; " + "*".join(["(x+y)"] * 20)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "infer", program)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.strip() == "0123"
 
 
 def test_selftest_pass(capsys):

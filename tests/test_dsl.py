@@ -35,10 +35,12 @@ from cliffqt.dsl import (
     Comm,
     Conj,
     IMul,
+    MAX_MONOMIALS,
     Neg,
     Prod,
     ScalarMul,
     Sym,
+    _infer_compositional,
     _unrank_subset,
     canonical_form,
     free_symbols,
@@ -198,6 +200,31 @@ def test_conjugation_rewrite_is_involutive():
         for op in ops:
             twice = Conj(op, Conj(op, expr))
             assert canonical_form(twice) == canonical_form(expr), (entry.name, op)
+
+
+def test_normal_form_coefficients_stay_integers():
+    env, expr = parse_program("2*x + 3.0*[x, y] - i*{x, y} + 1/2*y", COMPLEX)
+    assert expr.left.left.left.factor == 2 and type(expr.left.left.left.factor) is int
+    form = canonical_form(expr)
+    y = (("sym", "y", 0),)
+    assert form.pop(y) == (Fraction(1, 2), 0)  # the only non-integral factor
+    assert all(type(c) is int for coef in form.values() for c in coef)
+
+
+def test_monomial_cap_falls_back_to_the_compositional_type():
+    # P*rev(P) with P a product of k (x+y) factors combines 2^k x 2^k term pairs
+    def program(k):
+        factors = "*".join(["(x+y)"] * k)
+        return parse_program(f"let x:1; let y:3; {factors}*rev({factors})")
+
+    env, expr = program(6)
+    assert 4 ** 6 <= MAX_MONOMIALS
+    assert str(infer_type(expr, env)) == "0"  # refined through rev
+    env, expr = program(7)
+    assert str(_infer_compositional(expr, env)) == "02"
+    assert str(infer_type(expr, env)) == "02"
+    with pytest.raises(AlgebraError, match="more than 4096"):
+        canonical_form(expr)
 
 
 def test_scalar_zero_annihilates():
