@@ -27,7 +27,6 @@ from .dsl import check_soundness, infer_type, parse_program
 from .errors import AlgebraError, ParseError
 from .mvtext import format_mv, mv_to_dict, parse_mv
 from .qtype import (
-    TypeSet,
     _ACOMM_MAIN,
     _COMM_MAIN,
     atom_components,

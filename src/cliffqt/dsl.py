@@ -13,7 +13,9 @@ Grammar::
 
 ``rev``/``gri``/``conj``/``phc`` are reversion, grade involution, complex
 conjugation and pseudo-Hermitian conjugation; compositions nest, e.g.
-``gri(rev(x))``.  Undeclared symbols get the full TypeSet.
+``gri(rev(x))``.  Undeclared symbols get the full TypeSet.  A number may
+not run straight into a name: ``2*x`` and ``2 x`` parse, ``2x`` and ``1e3``
+are parse errors.
 
 Type inference runs two passes.  The compositional pass folds the closure
 tables over the tree.  The refinement pass rewrites the expression under
@@ -43,14 +45,18 @@ from .algebra import (
     anticommutator,
     commutator,
 )
-from .errors import AlgebraError, BindingError, ParseError
-from .mvtext import format_mv
+from .errors import AlgebraError, BindingError
+from .mvtext import _fail_at, format_mv
 from .qtype import (
+    _CCONJ,
+    _REV,
     TypeSet,
     anticommutator_type,
+    apply_conjugation,
     classify_by_rank,
     commutator_type,
     conjugation_bits,
+    conjugation_codes,
     eigenspace,
     main_type_dim,
     member,
@@ -60,6 +66,8 @@ from .qtype import (
 
 # ------------------------------------------------------------------ AST
 
+# ``pos`` is the character offset of a node's first token in the source.
+
 class Expr:
     __slots__ = ()
 
@@ -67,61 +75,61 @@ class Expr:
 @dataclass(frozen=True)
 class Sym(Expr):
     name: str
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Add(Expr):
     left: Expr
     right: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     child: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ScalarMul(Expr):
     factor: int | Fraction  # an int when integral
     child: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class IMul(Expr):
     child: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Prod(Expr):
     left: Expr
     right: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Comm(Expr):
     left: Expr
     right: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AntiComm(Expr):
     left: Expr
     right: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Conj(Expr):
     op: str  # rev | gri | conj | phc
     child: Expr
-    pos: tuple = field(default=None, compare=False, repr=False)
+    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -155,50 +163,39 @@ _PUNCT = "+-*/()[]{},:;"
 
 
 def _tokenize(text: str):
+    """Tokens as ``(kind, lexeme, character offset)``, ending with EOF."""
     tokens = []
     i = 0
-    line, col = 1, 1
-
-    def advance(j):
-        nonlocal i, line, col
-        for k in range(i, j):
-            if text[k] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        i = j
-
-    while i < len(text):
+    end = len(text)
+    while i < end:
         ch = text[i]
         if ch.isspace():
-            advance(i + 1)
+            i += 1
             continue
-        start = (line, col)
+        j = i + 1
         if ch.isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
+            kind = "INT"
+            while j < end and text[j].isdigit():
                 j += 1
-            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
-                j += 1
-                while j < len(text) and text[j].isdigit():
+            if j + 1 < end and text[j] == "." and text[j + 1].isdigit():
+                kind = "DECIMAL"
+                j += 2
+                while j < end and text[j].isdigit():
                     j += 1
-                tokens.append(("DECIMAL", text[i:j], start))
-            else:
-                tokens.append(("INT", text[i:j], start))
-            advance(j)
+            if j < end and (text[j].isalpha() or text[j] == "_"):
+                # '1e3' is neither a float nor 1*e3: ask for an explicit product
+                _fail_at(text, i, f"number {text[i:j]!r} runs into {text[j]!r}; write '*' or a space")
         elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            kind = "IDENT"
+            while j < end and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("IDENT", text[i:j], start))
-            advance(j)
         elif ch in _PUNCT:
-            tokens.append((ch, ch, start))
-            advance(i + 1)
+            kind = ch
         else:
-            raise ParseError(f"malformed token {ch!r}", line, col)
-    tokens.append(("EOF", None, (line, col)))
+            _fail_at(text, i, f"malformed token {ch!r}")
+        tokens.append((kind, text[i:j], i))
+        i = j
+    tokens.append(("EOF", None, end))
     return tokens
 
 
@@ -211,6 +208,7 @@ class _DslParser:
     MAX_DEPTH = 100
 
     def __init__(self, text: str, field: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -229,12 +227,12 @@ class _DslParser:
     def _expect(self, kind):
         tok = self._next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", *tok[2])
+            self._fail(f"expected {kind!r}, got {tok[1]!r}", tok[2])
         return tok
 
-    def _fail(self, msg, tok=None):
-        tok = tok or self._peek()
-        raise ParseError(msg, *tok[2])
+    def _fail(self, msg, pos=None):
+        """Raise ParseError at character offset ``pos``, default the next token's."""
+        _fail_at(self.text, self._peek()[2] if pos is None else pos, msg)
 
     def parse_program(self) -> tuple[TypeEnv, Expr]:
         while self._peek()[0] == "IDENT" and self._peek()[1] == "let":
@@ -254,7 +252,7 @@ class _DslParser:
         while stack:
             node, depth = stack.pop()
             if depth > self.MAX_DEPTH:
-                raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels", *node.pos)
+                self._fail(f"expression nested deeper than {self.MAX_DEPTH} levels", node.pos)
             for attr in ("left", "right", "child"):
                 sub = getattr(node, attr, None)
                 if sub is not None:
@@ -264,9 +262,9 @@ class _DslParser:
         self._next()  # let
         kind, name, pos = self._next()
         if kind != "IDENT" or name in _KEYWORDS:
-            raise ParseError("expected a symbol name after 'let'", *pos)
+            self._fail("expected a symbol name after 'let'", pos)
         if name in self.declared:
-            raise ParseError(f"duplicate declaration of {name!r}", *pos)
+            self._fail(f"duplicate declaration of {name!r}", pos)
         self._expect(":")
         tset = self._typeset()
         self._expect(";")
@@ -285,18 +283,19 @@ class _DslParser:
         elif tok[0] == "IDENT" and tok[1].startswith("i"):
             parts.append(("i", (tok[0], tok[1][1:], tok[2])))
         else:
-            raise ParseError("expected a type set like 01 or 01+i23", *tok[2])
+            self._fail("expected a type set like 01 or 01+i23", tok[2])
         text = ""
         for prefix, (kind, lexeme, pos) in parts:
             if prefix == "i" and kind == "IDENT" and lexeme.startswith("i"):
                 lexeme = lexeme[1:]
             if kind not in ("INT", "IDENT") or not lexeme or any(c not in "0123" for c in lexeme):
-                raise ParseError("type set digits must be 0-3", *pos)
+                self._fail("type set digits must be 0-3", pos)
             text += ("+" if text else "") + prefix + lexeme
         try:
             return parse_typeset(text, self.field)
         except AlgebraError as exc:
-            raise ParseError(str(exc), *parts[0][1][2]) from None
+            message = str(exc)
+        self._fail(message, parts[0][1][2])
 
     def _expr(self) -> Expr:
         node = self._prod()
@@ -332,9 +331,9 @@ class _DslParser:
                 self._next()
                 dkind, dlex, dpos = self._next()
                 if dkind != "INT":
-                    raise ParseError("fraction denominator must be an integer", *dpos)
+                    self._fail("fraction denominator must be an integer", dpos)
                 if int(dlex) == 0:
-                    raise ParseError("zero denominator", *dpos)
+                    self._fail("zero denominator", dpos)
                 factor = Fraction(int(lexeme), int(dlex))
             else:
                 factor = Fraction(lexeme)
@@ -346,7 +345,7 @@ class _DslParser:
         if kind == "IDENT" and lexeme == "i":
             self._next()
             if self.field != COMPLEX:
-                raise ParseError("'i' needs the complex field", *pos)
+                self._fail("'i' needs the complex field", pos)
             if self._peek()[0] == "*":
                 self._next()
             return IMul(self._unary(), pos=pos)
@@ -360,15 +359,15 @@ class _DslParser:
         if kind == "IDENT":
             if lexeme in _CONJ_NAMES:
                 if lexeme in ("conj", "phc") and self.field != COMPLEX:
-                    raise ParseError(f"{lexeme!r} needs the complex field", *pos)
+                    self._fail(f"{lexeme!r} needs the complex field", pos)
                 self._expect("(")
                 inner = self._expr()
                 self._expect(")")
                 return Conj(lexeme, inner, pos=pos)
             if lexeme in _KEYWORDS:
-                raise ParseError(f"unexpected keyword {lexeme!r}", *pos)
+                self._fail(f"unexpected keyword {lexeme!r}", pos)
             if self._peek()[0] == "(":
-                raise ParseError(f"unknown conjugation name {lexeme!r}", *pos)
+                self._fail(f"unknown conjugation name {lexeme!r}", pos)
             return Sym(lexeme, pos=pos)
         if kind == "(":
             inner = self._expr()
@@ -386,7 +385,7 @@ class _DslParser:
             right = self._expr()
             self._expect("}")
             return AntiComm(left, right, pos=pos)
-        raise ParseError(f"unexpected token {lexeme!r}", *pos)
+        self._fail(f"unexpected token {lexeme!r}", pos)
 
 
 def parse_program(text: str, field: str = REAL) -> tuple[TypeEnv, Expr]:
@@ -438,7 +437,6 @@ def format_program(env: TypeEnv, expr: Expr) -> str:
 # mono).  Product factor order is preserved; comm operands are sorted with a
 # sign flip, acomm operands are sorted freely.
 
-_REV_BIT, _GRI_BIT, _CCONJ_BIT = 1, 2, 4
 _ONE = (1, 0)
 
 # Most term pairs one product or bracket of normal forms may combine.  The
@@ -558,19 +556,19 @@ def canonical_form(expr: Expr, conj: int = 0) -> dict:
         return _poly_scale(canonical_form(expr.child, conj), (expr.factor, 0))
     if isinstance(expr, IMul):
         # antilinear conjugations flip i
-        unit = (0, -1) if conj & _CCONJ_BIT else (0, 1)
+        unit = (0, -1) if conj & _CCONJ else (0, 1)
         return _poly_scale(canonical_form(expr.child, conj), unit)
     if isinstance(expr, Prod):
         lhs = canonical_form(expr.left, conj)
         rhs = canonical_form(expr.right, conj)
-        if conj & _REV_BIT:
+        if conj & _REV:
             return _poly_mul(rhs, lhs)
         return _poly_mul(lhs, rhs)
     if isinstance(expr, Comm):
         out = _poly_bracket(
             canonical_form(expr.left, conj), canonical_form(expr.right, conj), anti=False
         )
-        return _poly_neg(out) if conj & _REV_BIT else out
+        return _poly_neg(out) if conj & _REV else out
     if isinstance(expr, AntiComm):
         return _poly_bracket(
             canonical_form(expr.left, conj), canonical_form(expr.right, conj), anti=True
@@ -628,8 +626,7 @@ def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
         # the normal form cancelled everything: the value is identically zero
         return TypeSet.empty(env.field)
     neg = _poly_neg(base)
-    ops = range(1, 8) if env.field == COMPLEX else range(1, 4)
-    for bits in ops:
+    for bits in conjugation_codes(env.field):
         rewritten = canonical_form(expr, bits)
         if rewritten == base:
             result = result & eigenspace(bits, 1, env.field)
@@ -639,14 +636,6 @@ def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
 
 
 # ------------------------------------------------------------------ evaluation
-
-_CONJ_METHODS = {
-    "rev": Multivector.reversion,
-    "gri": Multivector.grade_involution,
-    "conj": Multivector.complex_conjugate,
-    "phc": Multivector.pseudo_hermitian,
-}
-
 
 def eval_expr(expr: Expr, env: TypeEnv, bindings: dict) -> Multivector:
     """Evaluate with concrete multivector bindings, checking declared types."""
@@ -686,7 +675,7 @@ def _eval(expr: Expr, bindings: dict) -> Multivector:
     if isinstance(expr, AntiComm):
         return anticommutator(_eval(expr.left, bindings), _eval(expr.right, bindings))
     if isinstance(expr, Conj):
-        return _CONJ_METHODS[expr.op](_eval(expr.child, bindings))
+        return apply_conjugation(_eval(expr.child, bindings), expr.op)
     raise TypeError(f"not an Expr: {expr!r}")
 
 

@@ -131,16 +131,12 @@ class _Parser:
             return mask, self._pair(sign, imag=False)
         if kind in ("INT", "DECIMAL", "I"):
             value, imag = self._coeff()
-            nxt = self._peek()[0]
-            if nxt == "*":
+            mask = 0
+            if self._peek()[0] == "*":
                 self._next()
                 if self._peek()[0] != "BLADE":
                     self._fail("expected blade after '*'")
                 mask = self._blade(self._next())
-            elif nxt == "BLADE":
-                mask = self._blade(self._next())  # tolerated implicit product
-            else:
-                mask = 0
             if sign < 0:
                 value = -value
             return mask, self._pair_value(value, imag)

@@ -20,6 +20,15 @@ griconj      +    -    +    -    -     +     -     +
 griphc       +    -    -    +    -     +     +     -
 ==========  ===  ===  ===  ===  ====  ====  ====  ====
 
+With the identity, the conjugations form a group G (3 of them over the
+reals, 7 over the complexes, composing by XOR of their bit codes), and each
+atom a is one of its characters chi_a, the column above.  So the component
+of u in atom a is the group average ``P_a(u) = (1/|G|) sum_s chi_a(s) s(u)``;
+:func:`atom_components`, :func:`qtype_project` and
+:func:`classify_by_conjugation` all read it from one pass over u's terms,
+using the conjugations and never the ranks, which :func:`classify_by_rank`
+reads instead.
+
 The main types form a Klein four-group under XOR of their labels, and both
 closure tables are closed forms in it: {U,V} of main types k1, k2 has type
 ``k1 ^ k2`` and [U,V] has type ``k1 ^ k2 ^ 2``; imaginary flags combine by
@@ -32,10 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import fsum
 
 from .algebra import (
     COMPLEX,
-    EXACT,
     FLOAT,
     FLOAT_TOL,
     REAL,
@@ -72,13 +81,6 @@ class TypeSet:
     def full(cls, field: str = REAL) -> "TypeSet":
         return cls(field, 0xFF if field == COMPLEX else 0x0F)
 
-    @classmethod
-    def of_atoms(cls, field: str, atoms) -> "TypeSet":
-        bits = 0
-        for k, imag in atoms:
-            bits |= _atom_bit(k, imag)
-        return cls(field, bits)
-
     def atoms(self) -> tuple[tuple[int, bool], ...]:
         """Atoms as (main type, imaginary) pairs, real atoms first."""
         out = []
@@ -106,9 +108,6 @@ class TypeSet:
     def __le__(self, other):
         self._check(other)
         return self.bits & ~other.bits == 0
-
-    def issubset(self, other) -> bool:
-        return self <= other
 
     def __contains__(self, atom) -> bool:
         k, imag = atom
@@ -216,7 +215,14 @@ _OP_ALIASES = {
 CONJUGATIONS_REAL = ("rev", "gri", "grirev")
 CONJUGATIONS_COMPLEX = ("rev", "gri", "grirev", "conj", "phc", "griconj", "griphc")
 
-_BITS_NAME = {1: "rev", 2: "gri", 3: "grirev", 4: "conj", 5: "phc", 6: "griconj", 7: "griphc"}
+
+def conjugation_codes(field: str) -> range:
+    """Bit codes of the field's conjugations; code c is named CONJUGATIONS_*[c - 1].
+
+    With the identity 0 they form the group, composing by XOR, that the
+    projectors average over and that type refinement rewrites under.
+    """
+    return range(1, 8) if field == COMPLEX else range(1, 4)
 
 
 def conjugation_bits(op) -> int:
@@ -232,7 +238,7 @@ def conjugation_bits(op) -> int:
 
 
 def conjugation_name(op) -> str:
-    return _BITS_NAME[conjugation_bits(op)]
+    return CONJUGATIONS_COMPLEX[conjugation_bits(op) - 1]
 
 
 def _atom_sign(bits: int, k: int, imag: bool) -> int:
@@ -299,11 +305,6 @@ def classify_by_rank(u: Multivector) -> TypeSet:
     return TypeSet(u.field, bits)
 
 
-# Signs (s1, s2, s3) in P_k(U) = (U + s1*U^ + s2*U~ + s3*U^~) / 4, i.e. the
-# eigenvalues of gri, rev and their composition on main type k.
-_PROJ_SIGNS = ((1, 1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, 1))
-
-
 def _exact_div(value, d: int):
     if isinstance(value, int):
         if value % d == 0:
@@ -312,60 +313,76 @@ def _exact_div(value, d: int):
     return value / d  # Fraction or float
 
 
-def _conjugates(u: Multivector) -> tuple:
-    """u with its grade involution, reversion and their composition."""
-    g = u.grade_involution()
-    return u, g, u.reversion(), g.reversion()
+def _atom_parts(u: Multivector) -> list[dict]:
+    """Term maps of u's atom components, entry a for atom a & 3 (imaginary when a >= 4).
 
-
-def _project(conjugates: tuple, k: int) -> Multivector:
-    u, g, r, gr = conjugates
-    s1, s2, s3 = _PROJ_SIGNS[k]
-    total = u + g.scale(s1) + r.scale(s2) + gr.scale(s3)
-    out = {m: (_exact_div(re, 4), _exact_div(im, 4)) for m, (re, im) in total._terms.items()}
-    return Multivector._raw(u.sig, u.field, u.backend, out)
+    P_a(u) = (1/|G|) sum over s in G of chi_a(s) s(u), where G is the
+    identity and the field's conjugations, chi_a(s) the eigenvalue of s on
+    atom a (:func:`conjugation_action`) and s(u) is :func:`apply_conjugation`.
+    A conjugation keeps u's support, so each image is read at u's masks once
+    and every sum runs over aligned columns.  The sum over G is |G| times one
+    coefficient part or zero, so the exact division keeps ints ints; float
+    sums use ``math.fsum``, which is exact here.
+    """
+    codes = conjugation_codes(u.field)
+    images = [u._terms] + [apply_conjugation(u, s)._terms for s in codes]
+    order = len(images)  # also the number of atoms, one per character of G
+    masks = list(u._terms)
+    # signed[part][s][c]: c times the real (part 0) or imaginary parts of s(u)
+    signed = ([], [])
+    for image in images:
+        pairs = [image[m] for m in masks]
+        for part, columns in enumerate(signed):
+            col = [pair[part] for pair in pairs]
+            columns.append({1: col, -1: [-x for x in col]})
+    # the identity acts as +1 on every atom
+    actions = [(1,) * order] + [conjugation_action(s, u.field) for s in codes]
+    total = fsum if u.backend == FLOAT else sum
+    parts = []
+    for a in range(order):
+        chi = [action[a] for action in actions]
+        re, im = (map(total, zip(*[col[c] for c, col in zip(chi, columns)])) for columns in signed)
+        parts.append({
+            m: (_exact_div(x, order), _exact_div(y, order))
+            for m, x, y in zip(masks, re, im)
+            if x or y
+        })
+    return parts
 
 
 def qtype_project(u: Multivector, k: int) -> Multivector:
-    """Component of u in main type k, via the conjugation projector."""
+    """Component of u in main type k (atoms k and ik), via the conjugation projectors."""
     if not 0 <= k <= 3:
         raise AlgebraError(f"main type {k} out of range 0..3")
-    return _project(_conjugates(u), k)
-
-
-def _component_nonzero(w: Multivector, tol, scale) -> bool:
-    if tol is None:
-        return not w.is_zero()
-    return w.max_abs() > tol * scale
+    parts = _atom_parts(u)
+    out = parts[k]
+    if u.field == COMPLEX:
+        # atom ik holds the imaginary parts, atom k the real parts
+        for m, (re, im) in parts[k + 4].items():
+            out[m] = (out[m][0], im) if m in out else (re, im)
+    return Multivector._raw(u.sig, u.field, u.backend, out)
 
 
 def atom_components(u: Multivector):
     """Yield ``((k, imaginary), component)`` of u for k = 0..3, atom k before ik.
 
-    The main-type part comes from the conjugation projector; over the
-    complexes complex conjugation splits it into its real and imaginary parts.
+    Every component comes from the group-average projector of its atom.
     """
-    half = 0.5 if u.backend == FLOAT else Fraction(1, 2)
-    conjugates = _conjugates(u)
+    parts = _atom_parts(u)
     for k in range(4):
-        w = _project(conjugates, k)
-        if u.field == COMPLEX:
-            c = w.complex_conjugate()
-            yield (k, False), (w + c).scale(half)
-            yield (k, True), (w - c).scale(half)
-        else:
-            yield (k, False), w
+        for imag in (False, True) if u.field == COMPLEX else (False,):
+            yield (k, imag), Multivector._raw(u.sig, u.field, u.backend, parts[k + 4 * imag])
 
 
 def classify_by_conjugation(u: Multivector, tol=None) -> TypeSet:
     """Classify via projector decomposition; must agree with classify_by_rank."""
     if tol is None and u.backend == FLOAT:
         tol = FLOAT_TOL
-    scale = u.max_abs()
+    threshold = 0 if tol is None else tol * u.max_abs()
     bits = 0
-    for (k, imag), w in atom_components(u):
-        if _component_nonzero(w, tol, scale):
-            bits |= _atom_bit(k, imag)
+    for a, part in enumerate(_atom_parts(u)):
+        if any(abs(re) > threshold or abs(im) > threshold for re, im in part.values()):
+            bits |= 1 << a
     return TypeSet(u.field, bits)
 
 

@@ -23,33 +23,42 @@ def signatures_up_to(max_n: int):
 
 # ------------------------------------------------------------------ blade oracle
 
-def naive_blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
-    """Blade product by adjacent swaps and contractions on an index list.
+def _swap_and_contract(indices, p: int) -> tuple[int, list[int]]:
+    """Sign and sorted generator list of a product of generators, by literal shuffling.
 
-    Concatenates the two index sequences, then repeatedly moves each symbol
-    left one position at a time (each swap of distinct generators flips the
-    sign); two equal adjacent generators contract to eta.  Must agree with
-    algebra.blade_mul everywhere.
+    Moves each symbol left one position at a time (each swap of distinct
+    generators flips the sign); two equal adjacent generators contract to
+    eta, which is -1 for a generator past position p.
     """
     out: list[int] = []
     sign = 1
-    for s in blade_indices(a) + blade_indices(b):
+    for s in indices:
         i = len(out)
         while i > 0 and out[i - 1] > s:
             i -= 1
-        moves = len(out) - i
-        if moves & 1:
+        if (len(out) - i) & 1:
             sign = -sign
         if i > 0 and out[i - 1] == s:
-            sign *= sig.eta(s)
+            if s > p:
+                sign = -sign
             out.pop(i - 1)
         else:
             out.insert(i, s)
+    return sign, out
+
+
+def naive_blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
+    """Blade product by adjacent swaps and contractions on an index list.
+
+    Concatenates the two index sequences and sorts them with
+    :func:`_swap_and_contract`.  Must agree with algebra.blade_mul everywhere.
+    """
+    sign, out = _swap_and_contract(blade_indices(a) + blade_indices(b), sig.p)
     return sign, mask_from_indices(out, sig.n)
 
 
 def oracle_sweep(max_n: int) -> list[dict]:
-    """Compare naive_blade_product with blade_mul on every pair, n <= max_n.
+    """Compare the swap-and-contract oracle with blade_mul on every pair, n <= max_n.
 
     Returns the list of discrepancies (empty when the two agree).
     """
@@ -59,25 +68,10 @@ def oracle_sweep(max_n: int) -> list[dict]:
     for sig in signatures_up_to(max_n):
         size = 1 << sig.n
         indices = [blade_indices(m) for m in range(size)]
-        p = sig.p
         for a in range(size):
             ia = indices[a]
             for b in range(size):
-                # inline the oracle; function call overhead dominates otherwise
-                out: list[int] = []
-                sign = 1
-                for s in ia + indices[b]:
-                    i = len(out)
-                    while i > 0 and out[i - 1] > s:
-                        i -= 1
-                    if (len(out) - i) & 1:
-                        sign = -sign
-                    if i > 0 and out[i - 1] == s:
-                        if s > p:
-                            sign = -sign
-                        out.pop(i - 1)
-                    else:
-                        out.insert(i, s)
+                sign, out = _swap_and_contract(ia + indices[b], sig.p)
                 mask = 0
                 for s in out:
                     mask |= 1 << (s - 1)

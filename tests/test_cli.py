@@ -135,6 +135,16 @@ def test_deep_nesting_is_a_parse_error(capsys, program):
     assert "nested deeper than" in err and "line 1, column" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("mul", "--sig", "3,0", "1e3", "e1"), ("infer", "1e3")],
+    ids=["mul", "infer"],
+)
+def test_number_running_into_a_blade_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_check_refuses_an_oversized_draw(capsys):
     code, _, err = run(capsys, "check", "--sig", "30,0", "--density", "1", "let x:2; x")
     assert code == 2

@@ -120,6 +120,22 @@ def test_parse_errors():
     assert err is not None and (err.line, err.col) == (1, 5)
 
 
+@pytest.mark.parametrize(
+    "program, line, col",
+    [("1e3", 1, 1), ("x + 2x", 1, 5), ("let x:1; 3i*x", 1, 10), ("x*\n  1.5_y", 2, 3)],
+)
+def test_number_runs_into_a_name_is_a_parse_error(program, line, col):
+    with pytest.raises(ParseError, match="runs into") as info:
+        parse_program(program, COMPLEX)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_scalar_prefix_needs_a_star_or_a_space():
+    _, expr = parse_program("2*x")
+    assert parse_program("2 x")[1] == expr
+    assert parse_program("let x:1; 3 i*x", COMPLEX)[1] == parse_program("let x:1; 3*i*x", COMPLEX)[1]
+
+
 def test_typeset_declaration_forms():
     env, _ = parse_program("let a:0123; a")
     assert env.types["a"] == TypeSet.full(REAL)

@@ -82,6 +82,16 @@ def test_parse_errors_carry_position():
     assert err is not None and err.line == 2 and err.col == 3
 
 
+def test_number_runs_into_a_blade_is_a_parse_error():
+    # 1e3 is neither the float 1000 nor the product 1*e3
+    sig = Signature(3, 0)
+    for text in ("1e3", "2e12", "3ie12", "1 + 2 e1", "2.5e1"):
+        with pytest.raises(ParseError):
+            parse_mv(text, sig, COMPLEX)
+    assert dict(parse_mv("3i*e12", sig, COMPLEX).terms()) == {0b011: (0, 3)}
+    assert dict(parse_mv("2*e1 + 3i", sig, COMPLEX).terms()) == {0: (0, 3), 0b001: (2, 0)}
+
+
 def test_float_zero_parts_print_as_float_zero():
     sig = Signature(2, 0)
     u = parse_mv("1+e1", sig, backend=FLOAT)

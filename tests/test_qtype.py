@@ -120,6 +120,35 @@ def test_dual_classifiers_agree_on_random(field, backend):
         assert classify_by_rank(u) == classify_by_conjugation(u)
 
 
+def test_wrong_reversion_breaks_only_the_conjugation_route(monkeypatch):
+    # negate rank 1 too: the sign rule of ranks 1, 2, 3 mod 4
+    def wrong_reversion(self):
+        out = {m: (-re, -im) if m.bit_count() & 3 else (re, im) for m, (re, im) in self._terms.items()}
+        return Multivector._raw(self.sig, self.field, self.backend, out)
+
+    sig = Signature(2, 2)
+    rng = random.Random(7)
+    samples = [random_mv(sig, rng, field=field) for field in (REAL, COMPLEX) for _ in range(20)]
+    ranks = [classify_by_rank(u) for u in samples]
+    monkeypatch.setattr(Multivector, "reversion", wrong_reversion)
+    assert [classify_by_rank(u) for u in samples] == ranks
+    assert any(classify_by_conjugation(u) != t for u, t in zip(samples, ranks))
+    e1 = Multivector.basis_blade(sig, [1])
+    assert qtype_project(e1, 1) != e1
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_float_atom_components_sum_exactly_to_the_input(field):
+    rng = random.Random(11)
+    sig = Signature(3, 2)
+    for _ in range(200):
+        u = random_mv(sig, rng, field=field, backend=FLOAT)
+        total = Multivector.zero(sig, field, FLOAT)
+        for _, w in qtype.atom_components(u):
+            total = total + w
+        assert total == u
+
+
 # ---------------------------------------------------------------- projectors
 
 def test_projector_example():

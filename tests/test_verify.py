@@ -1,7 +1,7 @@
 import pytest
 
 from cliffqt import COMPLEX, REAL, AlgebraError, Multivector, Signature, blade_mul
-from cliffqt import qtype
+from cliffqt import algebra, qtype
 from cliffqt.verify import (
     derive_tables,
     dimension_audit,
@@ -20,6 +20,15 @@ def test_naive_product_examples():
 
 def test_oracle_agrees_up_to_n6():
     assert oracle_sweep(6) == []
+
+
+def test_oracle_sweep_reports_a_wrong_kernel(monkeypatch):
+    right = algebra.sign_mask
+    # a kernel that forgets the metric: eta = +1 for every generator
+    monkeypatch.setattr(algebra, "sign_mask", lambda a, p: right(a, a.bit_length()))
+    bad = oracle_sweep(2)
+    assert bad and all(entry["sig"][1] > 0 for entry in bad)
+    assert {"sig": (0, 1), "a": 1, "b": 1, "fast": (1, 0), "naive": (-1, 0)} in bad
 
 
 def test_oracle_sweep_bounds():
