@@ -27,6 +27,9 @@ FLOAT = "float"
 #: Relative tolerance for float-backend membership and classification.
 FLOAT_TOL = 1e-9
 
+#: Most term pairs one product or bracket may visit, about 12 s at ~1.3 M pairs/s.
+MAX_PRODUCT_PAIRS = 1 << 24
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -370,11 +373,13 @@ def _product(u: Multivector, v: Multivector, keep: int | None = None) -> Multive
     is taken, with its coefficient doubled, only when the parity of
     ``(B & swap_mask(A)).bit_count()`` equals ``keep``: 1 keeps the
     anticommuting pairs (the commutator), 0 the commuting ones (the
-    anticommutator).
+    anticommutator).  More than ``MAX_PRODUCT_PAIRS`` pairs raise AlgebraError.
     """
     u._compat(v)
     if u.backend != v.backend:
         raise AlgebraError(f"backend mismatch: {u.backend} vs {v.backend}")
+    if len(u) * len(v) > MAX_PRODUCT_PAIRS:
+        raise AlgebraError(f"{len(u)} by {len(v)} terms: more than {MAX_PRODUCT_PAIRS} term pairs")
     p = u.sig.p
     real = u.field == REAL
     zero = 0.0 if u.backend == FLOAT else 0

@@ -13,9 +13,10 @@ Grammar::
 
 ``rev``/``gri``/``conj``/``phc`` are reversion, grade involution, complex
 conjugation and pseudo-Hermitian conjugation; compositions nest, e.g.
-``gri(rev(x))``.  Undeclared symbols get the full TypeSet.  A number may
-not run straight into a name: ``2*x`` and ``2 x`` parse, ``2x`` and ``1e3``
-are parse errors.
+``gri(rev(x))``.  Undeclared symbols get the full TypeSet.  Numbers are
+read by the literal lexer of :mod:`cliffqt.mvtext` (ASCII digits 0-9 only),
+and a number may not run straight into a name: ``2*x`` and ``2 x`` parse,
+``2x`` and ``1e3`` are parse errors.
 
 Type inference runs two passes.  The compositional pass folds the closure
 tables over the tree.  The refinement pass rewrites the expression under
@@ -46,7 +47,7 @@ from .algebra import (
     commutator,
 )
 from .errors import AlgebraError, BindingError
-from .mvtext import _fail_at, format_mv
+from .mvtext import _DIGITS, _fail_at, _lex_number, format_mv
 from .qtype import (
     _CCONJ,
     _REV,
@@ -173,15 +174,8 @@ def _tokenize(text: str):
             i += 1
             continue
         j = i + 1
-        if ch.isdigit():
-            kind = "INT"
-            while j < end and text[j].isdigit():
-                j += 1
-            if j + 1 < end and text[j] == "." and text[j + 1].isdigit():
-                kind = "DECIMAL"
-                j += 2
-                while j < end and text[j].isdigit():
-                    j += 1
+        if ch in _DIGITS:
+            kind, j = _lex_number(text, i)
             if j < end and (text[j].isalpha() or text[j] == "_"):
                 # '1e3' is neither a float nor 1*e3: ask for an explicit product
                 _fail_at(text, i, f"number {text[i:j]!r} runs into {text[j]!r}; write '*' or a space")

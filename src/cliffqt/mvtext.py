@@ -10,6 +10,7 @@ Grammar (UTF-8, whitespace-insensitive)::
               | 'e' digits               -- single-digit indices, n <= 9
               | 'e{' index (',' index)* '}'
 
+Digits, in numbers and blade indices alike, are the ASCII digits 0-9.
 ``0`` is the zero multivector (a scalar term with coefficient 0).  Complex
 coefficients are written as separate real and imaginary terms, e.g.
 ``2*e12 + 3i*e12``.  Formatting always produces the canonical form: terms
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import COMPLEX, EXACT, REAL, Multivector, Signature
+from .algebra import COMPLEX, EXACT, REAL, Multivector, Signature, blade_indices, mask_from_indices
 from .errors import AlgebraError, ParseError
 
 
@@ -30,6 +31,28 @@ def _fail_at(text: str, pos: int, msg: str):
     line = text.count("\n", 0, pos) + 1
     col = pos - text.rfind("\n", 0, pos)
     raise ParseError(msg, line, col)
+
+
+_DIGITS = frozenset("0123456789")
+
+
+def _digits_end(text: str, i: int) -> int:
+    """Offset just past the run of ASCII digits starting at ``text[i]``."""
+    end = len(text)
+    while i < end and text[i] in _DIGITS:
+        i += 1
+    return i
+
+
+def _lex_number(text: str, i: int) -> tuple[str, int]:
+    """Kind (``INT`` or ``DECIMAL``) and end offset of the number at ``text[i]``.
+
+    Only 0-9 are digits: ``str.isdigit`` also accepts '²', which ``int`` refuses.
+    """
+    j = _digits_end(text, i + 1)
+    if j + 1 < len(text) and text[j] == "." and text[j + 1] in _DIGITS:
+        return "DECIMAL", _digits_end(text, j + 2)
+    return "INT", j
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -42,18 +65,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             i += 1
             continue
         start = i
-        if ch.isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
-                j += 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(("DECIMAL", text[i:j], start))
-            else:
-                tokens.append(("INT", text[i:j], start))
-            i = j
+        if ch in _DIGITS:
+            kind, i = _lex_number(text, start)
+            tokens.append((kind, text[start:i], start))
         elif ch == "e":
             j = i + 1
             if j < len(text) and text[j] == "{":
@@ -65,18 +79,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 indices = []
                 for part in body.split(","):
                     part = part.strip()
-                    if not part.isdigit():
+                    if not (part.isascii() and part.isdigit()):
                         _fail_at(text, start, f"bad blade index {part!r}")
                     indices.append(int(part))
                 tokens.append(("BLADE", (tuple(indices), True), start))
                 i = k + 1
             else:
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                digits = text[i + 1 : j]
-                indices = tuple(int(d) for d in digits)
-                tokens.append(("BLADE", (indices, False), start))
-                i = j
+                i = _digits_end(text, j)
+                tokens.append(("BLADE", (tuple(int(d) for d in text[j:i]), False), start))
         elif ch == "i":
             tokens.append(("I", "i", start))
             i += 1
@@ -128,7 +138,7 @@ class _Parser:
         kind = self._peek()[0]
         if kind == "BLADE":
             mask = self._blade(self._next())
-            return mask, self._pair(sign, imag=False)
+            return mask, self._pair_value(self._one() if sign > 0 else -self._one(), False)
         if kind in ("INT", "DECIMAL", "I"):
             value, imag = self._coeff()
             mask = 0
@@ -146,8 +156,8 @@ class _Parser:
         tok = self._next()
         kind, lexeme, _ = tok
         if kind == "I":
-            return self._one(), True
-        if kind == "INT":
+            value = self._one()
+        elif kind == "INT":
             num = int(lexeme)
             if self._peek()[0] == "/":
                 self._next()
@@ -164,10 +174,12 @@ class _Parser:
             value = Fraction(lexeme) if self.backend == EXACT else float(lexeme)
         else:
             self._fail(f"expected a coefficient, got {kind}", tok)
-        imag = False
-        if self._peek()[0] == "I":
+        imag = kind == "I"
+        if not imag and self._peek()[0] == "I":
             self._next()
             imag = True
+        if imag and self.field != COMPLEX:
+            self._fail("imaginary coefficient needs the complex field", tok)
         return value, imag
 
     def _one(self):
@@ -178,16 +190,9 @@ class _Parser:
             return Fraction(num, den)
         return num / den
 
-    def _pair(self, sign, imag):
-        return self._pair_value(self._one() if sign > 0 else -self._one(), imag)
-
     def _pair_value(self, value, imag):
         zero = 0 if self.backend == EXACT else 0.0
-        if imag:
-            if self.field != COMPLEX:
-                raise ParseError("imaginary coefficient needs the complex field")
-            return (zero, value)
-        return (value, zero)
+        return (zero, value) if imag else (value, zero)
 
     def _blade(self, tok) -> int:
         _, (indices, braced), _ = tok
@@ -260,8 +265,6 @@ def format_mv(u: Multivector) -> str:
 
 
 def _blade_text(mask: int, n: int) -> str:
-    from .algebra import blade_indices
-
     indices = blade_indices(mask)
     if not indices:
         return "e"
@@ -272,8 +275,6 @@ def _blade_text(mask: int, n: int) -> str:
 
 def mv_to_dict(u: Multivector) -> dict:
     """JSON-ready structured form with exact coefficient strings."""
-    from .algebra import blade_indices
-
     return {
         "signature": {"p": u.sig.p, "q": u.sig.q},
         "field": u.field,
@@ -295,8 +296,6 @@ def mv_from_dict(data: dict) -> Multivector:
     backend = data["backend"]
     terms = {}
     for entry in data["terms"]:
-        from .algebra import mask_from_indices
-
         mask = mask_from_indices(entry["blade"], sig.n)
         if backend == EXACT:
             re = Fraction(entry["re"])

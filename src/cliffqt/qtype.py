@@ -22,12 +22,15 @@ griphc       +    -    -    +    -     +     +     -
 
 With the identity, the conjugations form a group G (3 of them over the
 reals, 7 over the complexes, composing by XOR of their bit codes), and each
-atom a is one of its characters chi_a, the column above.  So the component
-of u in atom a is the group average ``P_a(u) = (1/|G|) sum_s chi_a(s) s(u)``;
-:func:`atom_components`, :func:`qtype_project` and
-:func:`classify_by_conjugation` all read it from one pass over u's terms,
-using the conjugations and never the ranks, which :func:`classify_by_rank`
-reads instead.
+atom a is one of its characters chi_a, the column above.  The component of
+u in atom a is the group average ``P_a(u) = (1/|G|) sum_s chi_a(s) s(u)``.
+Every blade term (its real part, and its imaginary part) is an eigenvector
+of every conjugation at once, so P_a keeps exactly the parts whose signs
+under the generators rev, gri (and conj) are atom a's, and that is how it
+is computed: :func:`atom_components`, :func:`qtype_project` and
+:func:`classify_by_conjugation` read each part's signs from the generator
+images, using the conjugations and never the ranks, which
+:func:`classify_by_rank` reads instead.
 
 The main types form a Klein four-group under XOR of their labels, and both
 closure tables are closed forms in it: {U,V} of main types k1, k2 has type
@@ -40,8 +43,6 @@ a wrong law fails the import.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import fsum
 
 from .algebra import (
     COMPLEX,
@@ -50,6 +51,7 @@ from .algebra import (
     REAL,
     Multivector,
     Signature,
+    blade_indices,
     sign_mask,
 )
 from .errors import AlgebraError
@@ -219,8 +221,8 @@ CONJUGATIONS_COMPLEX = ("rev", "gri", "grirev", "conj", "phc", "griconj", "griph
 def conjugation_codes(field: str) -> range:
     """Bit codes of the field's conjugations; code c is named CONJUGATIONS_*[c - 1].
 
-    With the identity 0 they form the group, composing by XOR, that the
-    projectors average over and that type refinement rewrites under.
+    With the identity 0 they form the group, composing by XOR, whose
+    characters are the atoms and that type refinement rewrites under.
     """
     return range(1, 8) if field == COMPLEX else range(1, 4)
 
@@ -305,48 +307,38 @@ def classify_by_rank(u: Multivector) -> TypeSet:
     return TypeSet(u.field, bits)
 
 
-def _exact_div(value, d: int):
-    if isinstance(value, int):
-        if value % d == 0:
-            return value // d
-        return Fraction(value, d)
-    return value / d  # Fraction or float
-
-
 def _atom_parts(u: Multivector) -> list[dict]:
     """Term maps of u's atom components, entry a for atom a & 3 (imaginary when a >= 4).
 
-    P_a(u) = (1/|G|) sum over s in G of chi_a(s) s(u), where G is the
-    identity and the field's conjugations, chi_a(s) the eigenvalue of s on
-    atom a (:func:`conjugation_action`) and s(u) is :func:`apply_conjugation`.
-    A conjugation keeps u's support, so each image is read at u's masks once
-    and every sum runs over aligned columns.  The sum over G is |G| times one
-    coefficient part or zero, so the exact division keeps ints ints; float
-    sums use ``math.fsum``, which is exact here.
+    Each part of a term is stored, with its own coefficient, in the one atom
+    whose eigenvalues (:func:`conjugation_action`) are its signs in the
+    images of u under the generators (:func:`apply_conjugation`).  A part
+    that is not +-itself in an image is an internal fault: RuntimeError.
     """
-    codes = conjugation_codes(u.field)
-    images = [u._terms] + [apply_conjugation(u, s)._terms for s in codes]
-    order = len(images)  # also the number of atoms, one per character of G
-    masks = list(u._terms)
-    # signed[part][s][c]: c times the real (part 0) or imaginary parts of s(u)
-    signed = ([], [])
-    for image in images:
-        pairs = [image[m] for m in masks]
-        for part, columns in enumerate(signed):
-            col = [pair[part] for pair in pairs]
-            columns.append({1: col, -1: [-x for x in col]})
-    # the identity acts as +1 on every atom
-    actions = [(1,) * order] + [conjugation_action(s, u.field) for s in codes]
-    total = fsum if u.backend == FLOAT else sum
-    parts = []
-    for a in range(order):
-        chi = [action[a] for action in actions]
-        re, im = (map(total, zip(*[col[c] for c, col in zip(chi, columns)])) for columns in signed)
-        parts.append({
-            m: (_exact_div(x, order), _exact_div(y, order))
-            for m, x, y in zip(masks, re, im)
-            if x or y
-        })
+    gens = (_REV, _GRI, _CCONJ) if u.field == COMPLEX else (_REV, _GRI)
+    actions = [conjugation_action(s, u.field) for s in gens]
+    order = 1 << len(gens)  # the number of atoms
+    # atom by sign pattern; bit j is set when generator j negates the atom
+    atom_of = {sum(1 << j for j, act in enumerate(actions) if act[a] < 0): a for a in range(order)}
+    images = [apply_conjugation(u, s)._terms for s in gens]
+    zero = 0.0 if u.backend == FLOAT else 0
+    parts = [{} for _ in range(order)]
+    for m, pair in u._terms.items():
+        for part, x in enumerate(pair):
+            if not x:
+                continue
+            key = 0
+            for j, image in enumerate(images):
+                y = image.get(m, (None, None))[part]
+                if y != x:
+                    if y != -x:
+                        raise RuntimeError(
+                            f"conjugation {conjugation_name(gens[j])!r} maps the "
+                            f"{('real', 'imaginary')[part]} part {x} of blade {blade_indices(m)} "
+                            f"to {'nothing' if y is None else y}, not +-{x}"
+                        )
+                    key |= 1 << j
+            parts[atom_of[key]][m] = (zero, x) if part else (x, zero)
     return parts
 
 
@@ -366,7 +358,7 @@ def qtype_project(u: Multivector, k: int) -> Multivector:
 def atom_components(u: Multivector):
     """Yield ``((k, imaginary), component)`` of u for k = 0..3, atom k before ik.
 
-    Every component comes from the group-average projector of its atom.
+    Every component comes from the conjugation signs of u's terms.
     """
     parts = _atom_parts(u)
     for k in range(4):
@@ -375,7 +367,7 @@ def atom_components(u: Multivector):
 
 
 def classify_by_conjugation(u: Multivector, tol=None) -> TypeSet:
-    """Classify via projector decomposition; must agree with classify_by_rank."""
+    """Classify via the conjugation signs of u's terms; must agree with classify_by_rank."""
     if tol is None and u.backend == FLOAT:
         tol = FLOAT_TOL
     threshold = 0 if tol is None else tol * u.max_abs()

@@ -25,6 +25,7 @@ from cliffqt import (
     sign_mask,
 )
 
+from cliffqt import algebra
 from cliffqt.algebra import swap_mask
 from cliffqt.verify import naive_blade_product
 from conftest import random_mv
@@ -276,6 +277,16 @@ def test_bracket_examples():
     for p, q in ((2, 0), (1, 1), (0, 2), (3, 2)):
         assert anticommutator(mv("e1", p, q), mv("e2", p, q)).is_zero()
     assert commutator(mv("e12", 3, 0), mv("e13", 3, 0)) == mv("-2*e23", 3, 0)
+
+
+def test_products_refuse_more_than_the_pair_bound(monkeypatch):
+    u = mv("1 + e1 + e2", 2, 0)
+    v = mv("e1 + e12", 2, 0)
+    monkeypatch.setattr(algebra, "MAX_PRODUCT_PAIRS", 5)
+    for op in (lambda a, b: a * b, commutator, anticommutator):
+        with pytest.raises(AlgebraError, match="more than 5 term pairs"):
+            op(u, v)
+    assert (v * v).is_zero()  # 4 pairs stay within the bound
 
 
 def test_bracket_reconstructs_product(rng):

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from cliffqt import qtype
+from cliffqt import Multivector, Signature, qtype
 from cliffqt.cli import main
+from cliffqt.mvtext import format_mv
 
 
 def run(capsys, *argv):
@@ -143,6 +144,30 @@ def test_deep_nesting_is_a_parse_error(capsys, program):
 def test_number_running_into_a_blade_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mul", "--sig", "2,0", "\u00b2", "e1"),
+        ("mul", "--sig", "2,0", "e\u00b2", "e1"),
+        ("mul", "--sig", "2,0", "e{\u00b2}", "e1"),
+        ("infer", "\u00b2*x"),
+    ],
+    ids=["number", "blade", "braced", "infer"],
+)
+def test_non_ascii_digit_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "(line 1, column" in err
+
+
+def test_mul_refuses_too_many_term_pairs(capsys):
+    # 4097^2 pairs is just past algebra.MAX_PRODUCT_PAIRS = 2^24
+    literal = format_mv(Multivector(Signature(13, 0), {m: (1, 0) for m in range(4097)}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mul", "--sig", "13,0", literal, literal)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and not out and "term pairs" in err
 
 
 def test_check_refuses_an_oversized_draw(capsys):

@@ -130,6 +130,13 @@ def test_number_runs_into_a_name_is_a_parse_error(program, line, col):
     assert (info.value.line, info.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("program, col", [("\u00b2*x", 1), ("x + 1\u00b2", 6), ("1.\u0663 * x", 2)])
+def test_only_ascii_digits_are_numbers(program, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(program)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
 def test_scalar_prefix_needs_a_star_or_a_space():
     _, expr = parse_program("2*x")
     assert parse_program("2 x")[1] == expr

@@ -92,6 +92,24 @@ def test_number_runs_into_a_blade_is_a_parse_error():
     assert dict(parse_mv("2*e1 + 3i", sig, COMPLEX).terms()) == {0: (0, 3), 0b001: (2, 0)}
 
 
+@pytest.mark.parametrize(
+    "text, col", [("\u00b2", 1), ("e\u00b2", 2), ("e{\u00b2}", 1), ("e\u0663", 2), ("1\u00b2*e1", 2)]
+)
+def test_only_ascii_digits_are_numbers_and_indices(text, col):
+    # '²' and '٣' pass str.isdigit, but int() refuses the one and reads the other as 3
+    with pytest.raises(ParseError) as info:
+        parse_mv(text, Signature(3, 0))
+    assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_imaginary_coefficient_in_the_real_field_fails_at_the_coefficient():
+    sig = Signature(2, 0)
+    for text, col in (("1 + 3i*e1", 5), ("i", 1), ("e1 - 2.5i", 6)):
+        with pytest.raises(ParseError, match="needs the complex field") as info:
+            parse_mv(text, sig)
+        assert (info.value.line, info.value.col) == (1, col)
+
+
 def test_float_zero_parts_print_as_float_zero():
     sig = Signature(2, 0)
     u = parse_mv("1+e1", sig, backend=FLOAT)

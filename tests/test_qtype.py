@@ -26,9 +26,11 @@ from cliffqt import (
     parse_typeset,
     product_type,
     qtype_project,
+    random_instance,
 )
 
 from cliffqt import qtype
+from cliffqt.mvtext import format_mv
 from conftest import random_mv
 
 
@@ -111,12 +113,21 @@ def test_dual_classifiers_agree_on_blades():
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
-@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("field", [REAL, COMPLEX, "complex-sparse-n20"])
 def test_dual_classifiers_agree_on_random(field, backend):
-    rng = random.Random(hash((field, backend)) & 0xFFFF)
-    sig = Signature(2, 2)
-    for _ in range(1000):
-        u = random_mv(sig, rng, field=field, backend=backend)
+    rng = random.Random(f"{field}/{backend}")  # str seeds, unlike hash(), replay across runs
+    if field == "complex-sparse-n20":
+        # about 1,000 parts over the 8 atoms, read back from their brace-blade literal
+        sig = Signature(20, 0)
+        samples = []
+        for _ in range(5):
+            u = random_instance(TypeSet.full(COMPLEX), sig, rng.randrange(1 << 30), 0.0005, backend)
+            samples.append(parse_mv(format_mv(u), sig, COMPLEX, backend))
+        assert all("e{" in format_mv(u) and len(u) > 500 for u in samples)
+    else:
+        sig = Signature(2, 2)
+        samples = [random_mv(sig, rng, field=field, backend=backend) for _ in range(1000)]
+    for u in samples:
         assert classify_by_rank(u) == classify_by_conjugation(u)
 
 
@@ -135,6 +146,17 @@ def test_wrong_reversion_breaks_only_the_conjugation_route(monkeypatch):
     assert any(classify_by_conjugation(u) != t for u, t in zip(samples, ranks))
     e1 = Multivector.basis_blade(sig, [1])
     assert qtype_project(e1, 1) != e1
+
+
+def test_a_conjugation_that_is_not_a_sign_flip_is_an_internal_fault(monkeypatch):
+    def doubling_involution(self):
+        out = {m: (2 * re, 2 * im) for m, (re, im) in self._terms.items()}
+        return Multivector._raw(self.sig, self.field, self.backend, out)
+
+    u = parse_mv("3 + e12", Signature(2, 0))
+    monkeypatch.setattr(Multivector, "grade_involution", doubling_involution)
+    with pytest.raises(RuntimeError, match="conjugation 'gri' maps the real part 3 of blade"):
+        classify_by_conjugation(u)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
