@@ -13,6 +13,7 @@ so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -62,12 +63,10 @@ def blade_rank(mask: int) -> int:
 def blade_indices(mask: int) -> tuple[int, ...]:
     """1-based generator indices of a blade mask, in increasing order."""
     out = []
-    a = 1
     while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -138,8 +137,13 @@ def _coerce_pair(value, field: str, backend: str) -> tuple:
                 f"exact backend needs int or Fraction coefficients, got {value!r}"
             )
     else:
-        re = float(re)
-        im = float(im)
+        try:
+            re = float(re)
+            im = float(im)
+        except OverflowError:
+            raise AlgebraError("coefficient too large for the float backend") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise AlgebraError(f"float backend needs finite coefficients, got {value!r}")
     if field == REAL and im != 0:
         raise AlgebraError("real field cannot carry an imaginary coefficient")
     return re, im
@@ -165,8 +169,7 @@ class Multivector:
                 re, im = _coerce_pair(value, field, backend)
                 cur = tmap.get(mask)
                 if cur is not None:
-                    re += cur[0]
-                    im += cur[1]
+                    re, im = _coerce_pair((re + cur[0], im + cur[1]), field, backend)
                 if re == 0 and im == 0:
                     tmap.pop(mask, None)
                 else:

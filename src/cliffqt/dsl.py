@@ -13,10 +13,12 @@ Grammar::
 
 ``rev``/``gri``/``conj``/``phc`` are reversion, grade involution, complex
 conjugation and pseudo-Hermitian conjugation; compositions nest, e.g.
-``gri(rev(x))``.  Undeclared symbols get the full TypeSet.  Numbers are
-read by the literal lexer of :mod:`cliffqt.mvtext` (ASCII digits 0-9 only),
-and a number may not run straight into a name: ``2*x`` and ``2 x`` parse,
-``2x`` and ``1e3`` are parse errors.
+``gri(rev(x))``.  Undeclared symbols get the full TypeSet.  A type set
+is read by :func:`cliffqt.qtype.parse_typeset` from the source between
+``:`` and ``;``.  Numbers match the number pattern of
+:mod:`cliffqt.mvtext` (ASCII digits 0-9 only), and a number may not run
+straight into a name: ``2*x`` and ``2 x`` parse, ``2x`` and ``1e3`` are
+parse errors.
 
 Type inference runs two passes.  The compositional pass folds the closure
 tables over the tree.  The refinement pass rewrites the expression under
@@ -47,7 +49,7 @@ from .algebra import (
     commutator,
 )
 from .errors import AlgebraError, BindingError
-from .mvtext import _DIGITS, _fail_at, _lex_number, format_mv
+from .mvtext import _NUMBER, _fail_at, format_mv
 from .qtype import (
     _CCONJ,
     _REV,
@@ -174,8 +176,10 @@ def _tokenize(text: str):
             i += 1
             continue
         j = i + 1
-        if ch in _DIGITS:
-            kind, j = _lex_number(text, i)
+        number = _NUMBER.match(text, i)
+        if number:
+            j = number.end()
+            kind = "DECIMAL" if "." in number.group() else "INT"
             if j < end and (text[j].isalpha() or text[j] == "_"):
                 # '1e3' is neither a float nor 1*e3: ask for an explicit product
                 _fail_at(text, i, f"number {text[i:j]!r} runs into {text[j]!r}; write '*' or a space")
@@ -266,30 +270,15 @@ class _DslParser:
         self.types[name] = tset
 
     def _typeset(self) -> TypeSet:
-        parts = []
-        tok = self._next()
-        if tok[0] == "INT":
-            parts.append(("", tok))
-            if self._peek()[0] == "+":
-                self._next()
-                itok = self._next()
-                parts.append(("i", itok))
-        elif tok[0] == "IDENT" and tok[1].startswith("i"):
-            parts.append(("i", (tok[0], tok[1][1:], tok[2])))
-        else:
-            self._fail("expected a type set like 01 or 01+i23", tok[2])
-        text = ""
-        for prefix, (kind, lexeme, pos) in parts:
-            if prefix == "i" and kind == "IDENT" and lexeme.startswith("i"):
-                lexeme = lexeme[1:]
-            if kind not in ("INT", "IDENT") or not lexeme or any(c not in "0123" for c in lexeme):
-                self._fail("type set digits must be 0-3", pos)
-            text += ("+" if text else "") + prefix + lexeme
+        """The type set from here to the next ';', read by ``parse_typeset``."""
+        start = self._peek()[2]
+        while self._peek()[0] not in (";", "EOF"):
+            self._next()
         try:
-            return parse_typeset(text, self.field)
+            return parse_typeset(self.text[start : self._peek()[2]], self.field)
         except AlgebraError as exc:
             message = str(exc)
-        self._fail(message, parts[0][1][2])
+        self._fail(message, start)
 
     def _expr(self) -> Expr:
         node = self._prod()
@@ -655,13 +644,9 @@ def _eval(expr: Expr, bindings: dict) -> Multivector:
     if isinstance(expr, Neg):
         return -_eval(expr.child, bindings)
     if isinstance(expr, ScalarMul):
-        value = _eval(expr.child, bindings)
-        factor = float(expr.factor) if value.backend == FLOAT else expr.factor
-        return value.scale(factor)
+        return _eval(expr.child, bindings).scale(expr.factor)
     if isinstance(expr, IMul):
-        value = _eval(expr.child, bindings)
-        unit = (0.0, 1.0) if value.backend == FLOAT else (0, 1)
-        return value.scale(unit)
+        return _eval(expr.child, bindings).scale((0, 1))
     if isinstance(expr, Prod):
         return _eval(expr.left, bindings) * _eval(expr.right, bindings)
     if isinstance(expr, Comm):

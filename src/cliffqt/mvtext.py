@@ -1,16 +1,22 @@
 """Text and JSON forms of multivectors.
 
-Grammar (UTF-8, whitespace-insensitive)::
+Grammar (UTF-8)::
 
     mv       := ['+'|'-'] term (('+'|'-') term)*
     term     := coeff ('*' blade)? | blade
     coeff    := rational 'i'? | 'i'
-    rational := integer | integer '/' integer | decimal
+    rational := number | integer '/' integer
+    number   := [0-9]+ ('.' [0-9]+)?     -- an integer when it has no '.'
     blade    := 'e'                      -- identity
-              | 'e' digits               -- single-digit indices, n <= 9
+              | 'e' [0-9]*               -- single-digit indices, n <= 9
               | 'e{' index (',' index)* '}'
 
-Digits, in numbers and blade indices alike, are the ASCII digits 0-9.
+Whitespace may appear between any two symbols of ``mv``, ``term``, ``coeff``
+and ``rational`` and around each ``index``, but not inside a number or
+between ``e`` and its digits or ``{``.  Digits, in numbers and blade
+indices alike, are the ASCII digits 0-9.  A coefficient is always read
+exactly, as an int or a Fraction; on the float backend the Multivector
+constructor rounds it to the nearest float and refuses one that overflows.
 ``0`` is the zero multivector (a scalar term with coefficient 0).  Complex
 coefficients are written as separate real and imaginary terms, e.g.
 ``2*e12 + 3i*e12``.  Formatting always produces the canonical form: terms
@@ -20,6 +26,7 @@ sorted by (rank, mask), real part before imaginary, explicit ``*``.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .algebra import COMPLEX, EXACT, REAL, Multivector, Signature, blade_indices, mask_from_indices
@@ -33,186 +40,107 @@ def _fail_at(text: str, pos: int, msg: str):
     raise ParseError(msg, line, col)
 
 
-_DIGITS = frozenset("0123456789")
+#: The one number lexeme of both grammars, this one and the DSL's.
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+# One term at a time, every part optional; parse_mv checks which parts are
+# there.  ``slash`` and ``star`` take their trailing space, so each group
+# ends where the next symbol starts.
+_TERM = re.compile(
+    r"""
+    \s* (?P<sign>[+-])? \s*
+    (?:
+        (?: (?P<num>NUMBER) \s* (?: (?P<slash>/\s*) (?P<den>NUMBER)? \s* )? (?P<imag>i)?
+          | (?P<unit>i) )
+        \s* (?P<star>\*\s*)?
+    )?
+    (?P<blade>e (?: \{ (?P<braced>\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*) \}   # e{1,12}
+                  | (?P<bad>\{[^}]*\}?)                              # a malformed e{...}
+                  | (?P<digits>[0-9]*) ))?                            # e, e12
+    \s*
+    """.replace("NUMBER", _NUMBER.pattern),
+    re.VERBOSE,
+)
+_TOKEN_START = "0123456789ei+-*/"
 
 
-def _digits_end(text: str, i: int) -> int:
-    """Offset just past the run of ASCII digits starting at ``text[i]``."""
-    end = len(text)
-    while i < end and text[i] in _DIGITS:
-        i += 1
-    return i
+def _fail_near(text: str, pos: int, msg: str):
+    """Raise ``msg`` at ``pos``, or name the character there when nothing can start with it."""
+    if pos < len(text) and text[pos] not in _TOKEN_START:
+        msg = f"malformed token {text[pos]!r}"
+    _fail_at(text, pos, msg)
 
 
-def _lex_number(text: str, i: int) -> tuple[str, int]:
-    """Kind (``INT`` or ``DECIMAL``) and end offset of the number at ``text[i]``.
-
-    Only 0-9 are digits: ``str.isdigit`` also accepts '²', which ``int`` refuses.
-    """
-    j = _digits_end(text, i + 1)
-    if j + 1 < len(text) and text[j] == "." and text[j + 1] in _DIGITS:
-        return "DECIMAL", _digits_end(text, j + 2)
-    return "INT", j
-
-
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    """Tokens as ``(kind, value, character offset)``, ending with EOF."""
-    tokens: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch in _DIGITS:
-            kind, i = _lex_number(text, start)
-            tokens.append((kind, text[start:i], start))
-        elif ch == "e":
-            j = i + 1
-            if j < len(text) and text[j] == "{":
-                j += 1
-                k = text.find("}", j)
-                if k < 0:
-                    _fail_at(text, start, "unterminated blade index list")
-                body = text[j:k]
-                indices = []
-                for part in body.split(","):
-                    part = part.strip()
-                    if not (part.isascii() and part.isdigit()):
-                        _fail_at(text, start, f"bad blade index {part!r}")
-                    indices.append(int(part))
-                tokens.append(("BLADE", (tuple(indices), True), start))
-                i = k + 1
-            else:
-                i = _digits_end(text, j)
-                tokens.append(("BLADE", (tuple(int(d) for d in text[j:i]), False), start))
-        elif ch == "i":
-            tokens.append(("I", "i", start))
-            i += 1
-        elif ch in "+-*/":
-            tokens.append((ch, ch, start))
-            i += 1
-        else:
-            _fail_at(text, start, f"malformed token {ch!r}")
-    tokens.append(("EOF", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, sig: Signature, field: str, backend: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.sig = sig
-        self.field = field
-        self.backend = backend
-
-    def _peek(self):
-        return self.toks[self.i]
-
-    def _next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def _fail(self, msg, tok=None):
-        tok = tok or self._peek()
-        _fail_at(self.text, tok[2], msg)
-
-    def parse(self) -> Multivector:
-        terms = []
-        sign = 1
-        kind, _, _ = self._peek()
-        if kind in ("+", "-"):
-            sign = 1 if self._next()[0] == "+" else -1
-        terms.append(self._term(sign))
-        while self._peek()[0] != "EOF":
-            tok = self._next()
-            if tok[0] not in ("+", "-"):
-                self._fail(f"expected '+' or '-', got {tok[0]}", tok)
-            terms.append(self._term(1 if tok[0] == "+" else -1))
-        return Multivector(self.sig, terms, self.field, self.backend)
-
-    def _term(self, sign: int):
-        kind = self._peek()[0]
-        if kind == "BLADE":
-            mask = self._blade(self._next())
-            return mask, self._pair_value(self._one() if sign > 0 else -self._one(), False)
-        if kind in ("INT", "DECIMAL", "I"):
-            value, imag = self._coeff()
-            mask = 0
-            if self._peek()[0] == "*":
-                self._next()
-                if self._peek()[0] != "BLADE":
-                    self._fail("expected blade after '*'")
-                mask = self._blade(self._next())
-            if sign < 0:
-                value = -value
-            return mask, self._pair_value(value, imag)
-        self._fail("expected a term")
-
-    def _coeff(self):
-        tok = self._next()
-        kind, lexeme, _ = tok
-        if kind == "I":
-            value = self._one()
-        elif kind == "INT":
-            num = int(lexeme)
-            if self._peek()[0] == "/":
-                self._next()
-                dtok = self._next()
-                if dtok[0] != "INT":
-                    self._fail("fraction denominator must be an integer", dtok)
-                den = int(dtok[1])
-                if den == 0:
-                    self._fail("zero denominator", dtok)
-                value = self._rat(num, den)
-            else:
-                value = num if self.backend == EXACT else float(num)
-        elif kind == "DECIMAL":
-            value = Fraction(lexeme) if self.backend == EXACT else float(lexeme)
-        else:
-            self._fail(f"expected a coefficient, got {kind}", tok)
-        imag = kind == "I"
-        if not imag and self._peek()[0] == "I":
-            self._next()
-            imag = True
-        if imag and self.field != COMPLEX:
-            self._fail("imaginary coefficient needs the complex field", tok)
-        return value, imag
-
-    def _one(self):
-        return 1 if self.backend == EXACT else 1.0
-
-    def _rat(self, num, den):
-        if self.backend == EXACT:
-            return Fraction(num, den)
-        return num / den
-
-    def _pair_value(self, value, imag):
-        zero = 0 if self.backend == EXACT else 0.0
-        return (zero, value) if imag else (value, zero)
-
-    def _blade(self, tok) -> int:
-        _, (indices, braced), _ = tok
-        if not braced and indices and self.sig.n > 9:
-            self._fail("digit blade form is ambiguous for n > 9; use e{i,j,...}", tok)
-        mask = 0
-        prev = 0
-        for a in indices:
-            if not 1 <= a <= self.sig.n:
-                self._fail(f"blade index {a} out of range 1..{self.sig.n}", tok)
-            if a <= prev:
-                self._fail("blade indices must be strictly increasing", tok)
-            prev = a
-            mask |= 1 << (a - 1)
-        return mask
+def _bad_index_list(text: str, at: int, body: str):
+    """Raise the ParseError for an ``e{...}`` blade at ``at`` that ``_TERM`` did not accept."""
+    if not body.endswith("}"):
+        _fail_at(text, at, "unterminated blade index list")
+    for part in body[1:-1].split(","):
+        part = part.strip()
+        if not (part.isascii() and part.isdigit()):
+            _fail_at(text, at, f"bad blade index {part!r}")
 
 
 def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT) -> Multivector:
     """Parse a multivector literal; raises ParseError with position on bad input."""
-    return _Parser(text, sig, field, backend).parse()
+    n = sig.n
+    terms = []
+    pos = 0
+    end = len(text)
+    while True:
+        m = _TERM.match(text, pos)
+        sign, num, slash, den, imag, unit, star, blade, braced, bad, digits = m.groups()
+        if terms and sign is None:
+            _fail_near(text, pos, f"expected '+' or '-', got {text[pos]!r}")
+        if num is not None:
+            value = Fraction(num) if "." in num else int(num)
+            if slash is not None:
+                if "." in num:
+                    _fail_at(text, m.start("slash"), "fraction numerator must be an integer")
+                if den is None or "." in den:
+                    _fail_near(text, m.end("slash"), "fraction denominator must be an integer")
+                if not int(den):
+                    _fail_at(text, m.start("den"), "zero denominator")
+                value = Fraction(value, int(den))
+        elif unit is not None:
+            value, imag = 1, unit
+        elif blade is None:
+            _fail_near(text, m.end(), "expected a term")
+        else:
+            value = 1
+        if imag is not None and field != COMPLEX:
+            at = m.start("num" if num is not None else "unit")
+            _fail_at(text, at, "imaginary coefficient needs the complex field")
+        mask = 0
+        if blade is None:
+            if star is not None:
+                _fail_near(text, m.end("star"), "expected blade after '*'")
+        else:
+            at = m.start("blade")
+            if star is None and (num is not None or unit is not None):
+                _fail_at(text, at, "coefficient runs into a blade; write '*' between them")
+            if braced is not None:
+                indices = braced.split(",")
+            elif bad is not None:
+                _bad_index_list(text, at, bad)
+            else:
+                if digits and n > 9:
+                    _fail_at(text, at, "digit blade form is ambiguous for n > 9; use e{i,j,...}")
+                indices = digits
+            prev = 0
+            for a in map(int, indices):
+                if not prev < a <= n:
+                    if 1 <= a <= n:
+                        _fail_at(text, at, "blade indices must be strictly increasing")
+                    _fail_at(text, at, f"blade index {a} out of range 1..{n}")
+                prev = a
+                mask |= 1 << (a - 1)
+        if sign == "-":
+            value = -value
+        terms.append((mask, (value, 0) if imag is None else (0, value)))
+        pos = m.end()
+        if pos == end:
+            return Multivector(sig, terms, field, backend)
 
 
 def _format_float(v: float) -> str:

@@ -93,6 +93,13 @@ def test_blade_helpers():
         mask_from_indices((5,), 4)
 
 
+def test_blade_indices_invert_mask_from_indices():
+    for mask in range(1 << 10):
+        indices = blade_indices(mask)
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert mask_from_indices(indices, 10) == mask
+
+
 def test_generator_relations_exhaustive():
     # e^a e^b + e^b e^a = 2 eta^{ab} e, all signatures n <= 8
     for n in range(1, 9):

@@ -161,6 +161,24 @@ def test_non_ascii_digit_exits_2(capsys, argv):
     assert code == 2 and not out and "(line 1, column" in err
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--backend", "float", "--sig", "2,0", _HUGE),
+        ("classify", "--backend", "float", "--sig", "2,0", _HUGE + "/3"),
+        ("classify", "--backend", "float", "--sig", "2,0", _HUGE + ".5*e1"),
+        ("check", "--backend", "float", "--sig", "2,0", f"let x:0; {_HUGE}*x"),
+    ],
+    ids=["integer", "fraction", "decimal", "dsl-factor"],
+)
+def test_float_overflow_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and err.startswith("error:") and "float backend" in err
+
+
 def test_mul_refuses_too_many_term_pairs(capsys):
     # 4097^2 pairs is just past algebra.MAX_PRODUCT_PAIRS = 2^24
     literal = format_mv(Multivector(Signature(13, 0), {m: (1, 0) for m in range(4097)}))

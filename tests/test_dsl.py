@@ -150,6 +150,16 @@ def test_typeset_declaration_forms():
     assert env.types["a"] == ts("01+i23", COMPLEX)
     env, _ = parse_program("let a:i2; a", COMPLEX)
     assert env.types["a"] == ts("i2", COMPLEX)
+    env, _ = parse_program("let a: 01 + i23 ; a", COMPLEX)
+    assert env.types["a"] == ts("01+i23", COMPLEX)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_typeset_second_group_needs_its_i(field):
+    # '01+23' is not '01+i23': the declaration is read exactly as written
+    with pytest.raises(ParseError, match="bad type set") as info:
+        parse_program("let x:01+23; x", field)
+    assert (info.value.line, info.value.col) == (1, 7)
 
 
 def test_format_program_roundtrip_corpus():

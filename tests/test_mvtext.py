@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cliffqt import (
     COMPLEX,
     EXACT,
     FLOAT,
     REAL,
+    AlgebraError,
     Multivector,
     ParseError,
     Signature,
@@ -102,12 +105,106 @@ def test_only_ascii_digits_are_numbers_and_indices(text, col):
     assert (info.value.line, info.value.col) == (1, col)
 
 
+# (literal, n, field, line, col): malformed literals and the position of their first fault
+MALFORMED = [
+    ("e21", 3, REAL, 1, 1),
+    ("e4", 3, REAL, 1, 1),
+    ("e{1,7}", 3, REAL, 1, 1),
+    ("e{2,2}", 3, REAL, 1, 1),
+    ("e{0}", 3, REAL, 1, 1),
+    ("2 + \x24e1", 3, REAL, 1, 5),
+    ("2 +", 3, REAL, 1, 4),
+    ("2 + e1 +", 3, REAL, 1, 9),
+    ("e1 e2", 3, REAL, 1, 4),
+    ("1 + e9", 3, REAL, 1, 5),
+    ("1 +\n  e9", 3, REAL, 2, 3),
+    ("1 + e1\n - 2*e12\n + 3 e3", 3, REAL, 3, 6),
+    ("1 +\n\n  \x24", 3, REAL, 3, 3),
+    ("1e3", 3, COMPLEX, 1, 2),
+    ("2e12", 3, COMPLEX, 1, 2),
+    ("3ie12", 3, COMPLEX, 1, 3),
+    ("3ie12", 3, REAL, 1, 1),
+    ("1 + 2 e1", 3, COMPLEX, 1, 7),
+    ("2.5e1", 3, COMPLEX, 1, 4),
+    ("1 + e{1, 2} e3", 3, REAL, 1, 13),
+    ("\u00b2", 3, REAL, 1, 1),
+    ("e\u00b2", 3, REAL, 1, 2),
+    ("e{\u00b2}", 3, REAL, 1, 1),
+    ("e\u0663", 3, REAL, 1, 2),
+    ("1\u00b2*e1", 3, REAL, 1, 2),
+    ("1/0", 3, REAL, 1, 3),
+    ("1/ 0", 3, REAL, 1, 4),
+    ("1/x", 3, REAL, 1, 3),
+    ("1/2.5", 3, REAL, 1, 3),
+    ("3 / 2.0", 3, REAL, 1, 5),
+    ("1/", 3, REAL, 1, 3),
+    ("1/-2", 3, REAL, 1, 3),
+    ("1.5/2", 3, REAL, 1, 4),
+    ("e{1,2", 3, REAL, 1, 1),
+    ("e{}", 3, REAL, 1, 1),
+    ("e{1,,2}", 3, REAL, 1, 1),
+    ("e{1,x}", 3, REAL, 1, 1),
+    ("e{1,2}}", 3, REAL, 1, 7),
+    ("e {1}", 3, REAL, 1, 3),
+    ("e 1", 3, REAL, 1, 3),
+    ("e12", 10, REAL, 1, 1),
+    ("2*", 3, REAL, 1, 3),
+    ("2*3", 3, REAL, 1, 3),
+    ("2 * * e1", 3, REAL, 1, 5),
+    ("*e1", 3, REAL, 1, 1),
+    ("e1*e2", 3, REAL, 1, 3),
+    ("+", 3, REAL, 1, 2),
+    ("", 3, REAL, 1, 1),
+    ("--e1", 3, REAL, 1, 2),
+    ("1 - - 2", 3, REAL, 1, 5),
+    ("1 2", 3, REAL, 1, 3),
+    ("1.", 3, REAL, 1, 2),
+    (".5", 3, REAL, 1, 1),
+    ("1.5.2", 3, REAL, 1, 4),
+    ("ii", 3, COMPLEX, 1, 2),
+    ("2i i", 3, COMPLEX, 1, 4),
+    ("i", 2, REAL, 1, 1),
+    ("i*e", 3, REAL, 1, 1),
+    ("1 + 3i*e1", 2, REAL, 1, 5),
+    ("e1 - 2.5i", 2, REAL, 1, 6),
+]
+
+
+@pytest.mark.parametrize("text, n, field, line, col", MALFORMED)
+def test_malformed_literal_fails_at_its_position(text, n, field, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_mv(text, Signature(n, 0), field)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
 def test_imaginary_coefficient_in_the_real_field_fails_at_the_coefficient():
     sig = Signature(2, 0)
     for text, col in (("1 + 3i*e1", 5), ("i", 1), ("e1 - 2.5i", 6)):
         with pytest.raises(ParseError, match="needs the complex field") as info:
             parse_mv(text, sig)
         assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_float_backend_refuses_non_finite_coefficients():
+    sig = Signature(2, 0)
+    huge = "1" + "0" * 400
+    for text in (huge, huge + "/3", huge + ".5*e1", f"e1 - {huge}i"):
+        with pytest.raises(AlgebraError, match="too large"):
+            parse_mv(text, sig, COMPLEX, FLOAT)
+    # each term fits, their sum does not
+    with pytest.raises(AlgebraError, match="finite"):
+        parse_mv(f"{huge[:309]} + {huge[:309]}", sig, COMPLEX, FLOAT)
+    for value in ("inf", "-inf", "nan"):
+        data = {
+            "signature": {"p": 2, "q": 0},
+            "field": COMPLEX,
+            "backend": FLOAT,
+            "terms": [{"blade": [1], "re": "1.0", "im": value}],
+        }
+        with pytest.raises(AlgebraError, match="finite"):
+            mv_from_dict(data)
+    # the exact backend keeps every digit
+    assert parse_mv(huge, sig) == Multivector.scalar(sig, 10**400)
 
 
 def test_float_zero_parts_print_as_float_zero():
@@ -201,3 +298,33 @@ def test_json_roundtrip_random(rng):
         sig = Signature(2, 2)
         u = random_mv(sig, rng, field=COMPLEX)
         assert mv_from_dict(mv_to_dict(u)) == u
+
+
+_EXACT_COEFFS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**12, min_value=-10**12, max_value=10**12),
+)
+_FLOAT_COEFFS = st.one_of(_EXACT_COEFFS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def multivectors(draw):
+    """Random values for n = 1..12, both fields and both backends."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    field = draw(st.sampled_from((REAL, COMPLEX)))
+    backend = draw(st.sampled_from((EXACT, FLOAT)))
+    coeffs = _EXACT_COEFFS if backend == EXACT else _FLOAT_COEFFS
+    part = coeffs if field == COMPLEX else st.just(0)
+    # one entry per blade: two huge floats on one blade sum past the float range
+    terms = draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.tuples(coeffs, part), max_size=12))
+    return Multivector(sig, terms, field, backend)
+
+
+@seed(20261018)
+@settings(max_examples=100)
+@given(multivectors())
+def test_text_and_dict_forms_round_trip(u):
+    assert parse_mv(format_mv(u), u.sig, u.field, u.backend) == u
+    assert mv_from_dict(mv_to_dict(u)) == u
