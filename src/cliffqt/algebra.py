@@ -149,6 +149,14 @@ def _coerce_pair(value, field: str, backend: str) -> tuple:
     return re, im
 
 
+def _check_finite(tmap: dict) -> None:
+    """Refuse a float-backend result in which arithmetic overflowed to inf or nan."""
+    isfinite = math.isfinite
+    for re, im in tmap.values():
+        if not (isfinite(re) and isfinite(im)):
+            raise AlgebraError("float backend overflow: a result coefficient is not finite")
+
+
 class Multivector:
     """Immutable sparse multivector over a fixed signature, field and backend."""
 
@@ -282,6 +290,8 @@ class Multivector:
                     del out[m]
                 else:
                     out[m] = (re, im)
+        if self.backend == FLOAT:
+            _check_finite(out)
         return Multivector._raw(self.sig, self.field, self.backend, out)
 
     def __sub__(self, other):
@@ -305,6 +315,8 @@ class Multivector:
         else:
             for m, (re, im) in self._terms.items():
                 out[m] = (cr * re - ci * im, cr * im + ci * re)
+        if self.backend == FLOAT:
+            _check_finite(out)
         return Multivector._raw(self.sig, self.field, self.backend, out)
 
     def __rmul__(self, other):
@@ -376,7 +388,8 @@ def _product(u: Multivector, v: Multivector, keep: int | None = None) -> Multive
     is taken, with its coefficient doubled, only when the parity of
     ``(B & swap_mask(A)).bit_count()`` equals ``keep``: 1 keeps the
     anticommuting pairs (the commutator), 0 the commuting ones (the
-    anticommutator).  More than ``MAX_PRODUCT_PAIRS`` pairs raise AlgebraError.
+    anticommutator).  More than ``MAX_PRODUCT_PAIRS`` pairs raise AlgebraError,
+    and so does a float-backend result that overflowed to inf or nan.
     """
     u._compat(v)
     if u.backend != v.backend:
@@ -428,6 +441,8 @@ def _product(u: Multivector, v: Multivector, keep: int | None = None) -> Multive
                         del out[m]
                     else:
                         out[m] = (re, im)
+    if u.backend == FLOAT:
+        _check_finite(out)
     return Multivector._raw(u.sig, u.field, u.backend, out)
 
 

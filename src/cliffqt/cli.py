@@ -58,11 +58,9 @@ def _parse_sig(text: str) -> Signature:
         raise argparse.ArgumentTypeError(f"bad signature {text!r}: {exc}") from None
 
 
-def _emit(args, data: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(data, sort_keys=True))
-    else:
-        print(text)
+def _emit(args, data, text) -> None:
+    """Print ``data()`` as JSON under --json, else ``text()``; only the printed form is built."""
+    print(json.dumps(data(), sort_keys=True) if args.json else text())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,24 +109,26 @@ def cmd_mul(args) -> int:
     lhs = parse_mv(args.lhs, args.sig, args.field, args.backend)
     rhs = parse_mv(args.rhs, args.sig, args.field, args.backend)
     result = lhs * rhs
-    _emit(args, {"command": "mul", "result": mv_to_dict(result)}, format_mv(result))
+    _emit(args, lambda: {"command": "mul", "result": mv_to_dict(result)}, lambda: format_mv(result))
     return 0
 
 
 def cmd_classify(args) -> int:
     u = parse_mv(args.mv, args.sig, args.field, args.backend)
-    tset = classify_by_rank(u)
-    components = []
-    lines = [str(tset)]
-    for (k, imag), piece in atom_components(u):
-        if not piece.is_zero():
-            atom = f"i{k}" if imag else str(k)
-            components.append({"atom": atom, "part": mv_to_dict(piece)})
-            lines.append(f"  {atom}: {format_mv(piece)}")
+    tset = str(classify_by_rank(u))
+    parts = [
+        (f"i{k}" if imag else str(k), piece)
+        for (k, imag), piece in atom_components(u)
+        if not piece.is_zero()
+    ]
     _emit(
         args,
-        {"command": "classify", "typeset": str(tset), "components": components},
-        "\n".join(lines),
+        lambda: {
+            "command": "classify",
+            "typeset": tset,
+            "components": [{"atom": atom, "part": mv_to_dict(piece)} for atom, piece in parts],
+        },
+        lambda: "\n".join([tset] + [f"  {atom}: {format_mv(piece)}" for atom, piece in parts]),
     )
     return 0
 
@@ -136,7 +136,11 @@ def cmd_classify(args) -> int:
 def cmd_project(args) -> int:
     u = parse_mv(args.mv, args.sig, args.field, args.backend)
     part = qtype_project(u, args.k)
-    _emit(args, {"command": "project", "k": args.k, "result": mv_to_dict(part)}, format_mv(part))
+    _emit(
+        args,
+        lambda: {"command": "project", "k": args.k, "result": mv_to_dict(part)},
+        lambda: format_mv(part),
+    )
     return 0
 
 
@@ -146,14 +150,18 @@ def cmd_tables(args) -> int:
     lines = [f"{name} closure table (row op column):", "     0  1  2  3"]
     for k1 in range(4):
         lines.append(f"  {k1}: " + "  ".join(rows[k1]))
-    _emit(args, {"command": "tables", "op": name, "rows": rows}, "\n".join(lines))
+    _emit(args, lambda: {"command": "tables", "op": name, "rows": rows}, lambda: "\n".join(lines))
     return 0
 
 
 def cmd_infer(args) -> int:
     env, expr = parse_program(args.program, args.field)
     tset = infer_type(expr, env)
-    _emit(args, {"command": "infer", "program": args.program, "typeset": str(tset)}, str(tset))
+    _emit(
+        args,
+        lambda: {"command": "infer", "program": args.program, "typeset": str(tset)},
+        lambda: str(tset),
+    )
     return 0
 
 
@@ -170,7 +178,7 @@ def cmd_check(args) -> int:
         backend=args.backend,
         density=args.density,
     )
-    _emit(args, {"command": "check", **report.as_dict()}, report.format_text())
+    _emit(args, lambda: {"command": "check", **report.as_dict()}, report.format_text)
     return 0 if report.passed else 1
 
 
@@ -182,23 +190,25 @@ def cmd_selftest(args) -> int:
     audits = [verify.dimension_audit(sig) for sig in verify.signatures_up_to(args.max_n)]
     audits_ok = all(a.ok for a in audits)
     ok = comm_report.ok and acomm_report.ok and not discrepancies and audits_ok
-    data = {
-        "command": "selftest",
-        "max_n": args.max_n,
-        "tables": [comm_report.as_dict(), acomm_report.as_dict()],
-        "oracle_discrepancies": discrepancies,
-        "dimension_audits_ok": audits_ok,
-        "ok": ok,
-    }
-    lines = [
-        comm_report.format_text(),
-        acomm_report.format_text(),
-        f"blade product oracle sweep (n <= {args.max_n}): "
-        f"{len(discrepancies)} discrepancies",
-        f"dimension audits: {'ok' if audits_ok else 'FAILED'}",
-        f"selftest: {'PASS' if ok else 'FAIL'}",
-    ]
-    _emit(args, data, "\n".join(lines))
+    _emit(
+        args,
+        lambda: {
+            "command": "selftest",
+            "max_n": args.max_n,
+            "tables": [comm_report.as_dict(), acomm_report.as_dict()],
+            "oracle_discrepancies": discrepancies,
+            "dimension_audits_ok": audits_ok,
+            "ok": ok,
+        },
+        lambda: "\n".join([
+            comm_report.format_text(),
+            acomm_report.format_text(),
+            f"blade product oracle sweep (n <= {args.max_n}): "
+            f"{len(discrepancies)} discrepancies",
+            f"dimension audits: {'ok' if audits_ok else 'FAILED'}",
+            f"selftest: {'PASS' if ok else 'FAIL'}",
+        ]),
+    )
     return 0 if ok else 1
 
 

@@ -49,7 +49,7 @@ from .algebra import (
     commutator,
 )
 from .errors import AlgebraError, BindingError
-from .mvtext import _NUMBER, _fail_at, format_mv
+from .mvtext import _NUMBER, _check_digits, _fail_at, format_mv
 from .qtype import (
     _CCONJ,
     _REV,
@@ -179,6 +179,7 @@ def _tokenize(text: str):
         number = _NUMBER.match(text, i)
         if number:
             j = number.end()
+            _check_digits(text, i, number.group())
             kind = "DECIMAL" if "." in number.group() else "INT"
             if j < end and (text[j].isalpha() or text[j] == "_"):
                 # '1e3' is neither a float nor 1*e3: ask for an explicit product

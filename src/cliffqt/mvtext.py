@@ -14,7 +14,8 @@ Grammar (UTF-8)::
 Whitespace may appear between any two symbols of ``mv``, ``term``, ``coeff``
 and ``rational`` and around each ``index``, but not inside a number or
 between ``e`` and its digits or ``{``.  Digits, in numbers and blade
-indices alike, are the ASCII digits 0-9.  A coefficient is always read
+indices alike, are the ASCII digits 0-9, and a number or index has at
+most ``MAX_DIGITS`` (4300) of them.  A coefficient is always read
 exactly, as an int or a Fraction; on the float backend the Multivector
 constructor rounds it to the nearest float and refuses one that overflows.
 ``0`` is the zero multivector (a scalar term with coefficient 0).  Complex
@@ -42,6 +43,17 @@ def _fail_at(text: str, pos: int, msg: str):
 
 #: The one number lexeme of both grammars, this one and the DSL's.
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+#: Most digits a number may have: the interpreter's default int-string
+#: conversion limit, which would otherwise end a longer one in a ValueError.
+MAX_DIGITS = 4300
+
+
+def _check_digits(text: str, pos: int, number: str) -> None:
+    """Raise ParseError at ``pos`` when the ``_NUMBER`` lexeme ``number`` is too long."""
+    if len(number) - ("." in number) > MAX_DIGITS:
+        _fail_at(text, pos, f"number has more than {MAX_DIGITS} digits")
+
 
 # One term at a time, every part optional; parse_mv checks which parts are
 # there.  ``slash`` and ``star`` take their trailing space, so each group
@@ -93,12 +105,15 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
         if terms and sign is None:
             _fail_near(text, pos, f"expected '+' or '-', got {text[pos]!r}")
         if num is not None:
+            if len(num) > MAX_DIGITS:
+                _check_digits(text, m.start("num"), num)
             value = Fraction(num) if "." in num else int(num)
             if slash is not None:
                 if "." in num:
                     _fail_at(text, m.start("slash"), "fraction numerator must be an integer")
                 if den is None or "." in den:
                     _fail_near(text, m.end("slash"), "fraction denominator must be an integer")
+                _check_digits(text, m.start("den"), den)
                 if not int(den):
                     _fail_at(text, m.start("den"), "zero denominator")
                 value = Fraction(value, int(den))
@@ -127,6 +142,9 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
                 if digits and n > 9:
                     _fail_at(text, at, "digit blade form is ambiguous for n > 9; use e{i,j,...}")
                 indices = digits
+            if braced is not None and len(braced) > MAX_DIGITS:
+                for index in indices:
+                    _check_digits(text, at, index.strip())
             prev = 0
             for a in map(int, indices):
                 if not prev < a <= n:
@@ -158,7 +176,10 @@ def _format_float(v: float) -> str:
 def _format_number(v) -> str:
     if isinstance(v, float):
         return _format_float(v)
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:  # the interpreter's int-string conversion limit
+        raise AlgebraError(f"coefficient has more than {MAX_DIGITS} digits to print") from None
 
 
 def format_mv(u: Multivector) -> str:
@@ -182,23 +203,42 @@ def format_mv(u: Multivector) -> str:
                     body = ("i*" if imag else "") + blade
                 else:
                     body = _format_number(mag) + ("i*" if imag else "*") + blade
-            pieces.append(("-" if neg else "+", body))
+            pieces.append(("- " if neg else "+ ") + body)
     if not pieces:
         return "0"
-    first_sign, first_body = pieces[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+# _BYTE_TEXT[brace][k][b]: the indices of the set bits of ``b << 8*k``, in
+# the digit form (brace 0, "124") or the brace form (brace 1, "1,2,4").  A
+# blade's text joins the entries of its nonzero bytes.  The tables grow by
+# whole-list replacement, so a racing thread sees a shorter table, never a
+# wrong one.
+_BYTE_TEXT = [[], []]
+
+
+def _grow_byte_text(brace: int, size: int) -> list:
+    """The table of the given form, extended to ``size`` byte offsets."""
+    table = _BYTE_TEXT[brace]
+    sep = "," if brace else ""
+    table = _BYTE_TEXT[brace] = table + [
+        [sep.join(str(8 * k + j + 1) for j in range(8) if b >> j & 1) for b in range(256)]
+        for k in range(len(table), size)
+    ]
+    return table
 
 
 def _blade_text(mask: int, n: int) -> str:
-    indices = blade_indices(mask)
-    if not indices:
+    if not mask:
         return "e"
-    if n <= 9:
-        return "e" + "".join(str(a) for a in indices)
-    return "e{" + ",".join(str(a) for a in indices) + "}"
+    size = (mask.bit_length() + 7) >> 3
+    brace = n > 9
+    table = _BYTE_TEXT[brace]
+    if len(table) < size:
+        table = _grow_byte_text(brace, size)
+    parts = [row[b] for row, b in zip(table, mask.to_bytes(size, "little")) if b]
+    return "e{" + ",".join(parts) + "}" if brace else "e" + "".join(parts)
 
 
 def mv_to_dict(u: Multivector) -> dict:
@@ -218,21 +258,39 @@ def mv_to_dict(u: Multivector) -> dict:
     }
 
 
+def _read_exact(text):
+    """Exact value of a coefficient string: an int, else a Fraction (``a/b``, decimals)."""
+    if type(text) is str:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    try:
+        value = Fraction(text)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise AlgebraError(
+            f"bad coefficient {text!r:.40}: not a number, or more than {MAX_DIGITS} digits"
+        ) from None
+    return value.numerator if value.denominator == 1 else value
+
+
+def _read_float(text) -> float:
+    try:
+        return float(text)
+    except (ValueError, TypeError):
+        raise AlgebraError(f"bad coefficient {text!r:.40}: not a number") from None
+
+
 def mv_from_dict(data: dict) -> Multivector:
     sig = Signature(data["signature"]["p"], data["signature"]["q"])
     field = data["field"]
     backend = data["backend"]
     terms = {}
+    read = _read_exact if backend == EXACT else _read_float
     for entry in data["terms"]:
         mask = mask_from_indices(entry["blade"], sig.n)
-        if backend == EXACT:
-            re = Fraction(entry["re"])
-            im = Fraction(entry["im"])
-            re = re.numerator if re.denominator == 1 else re
-            im = im.numerator if im.denominator == 1 else im
-        else:
-            re = float(entry["re"])
-            im = float(entry["im"])
+        re = read(entry["re"])
+        im = read(entry["im"])
         if mask in terms:
             raise AlgebraError(f"duplicate blade {entry['blade']} in structured input")
         terms[mask] = (re, im)

@@ -387,3 +387,23 @@ def test_float_backend_basics():
     v = u * u
     assert v.grades() == (0,)
     assert abs(v.coeff(0)[0] - 1.25) < 1e-12
+
+
+def test_float_arithmetic_refuses_overflow():
+    big = mv("1" + "0" * 200 + "*e1", 2, 0, field=COMPLEX, backend=FLOAT)
+    max_float = Multivector.scalar(Signature(2, 0), 1.7e308, COMPLEX, FLOAT)
+    other = mv("1" + "0" * 200 + "*e2", 2, 0, field=COMPLEX, backend=FLOAT)
+    for result in (
+        lambda: big * big,
+        lambda: commutator(big, other),
+        lambda: anticommutator(big, big),
+        lambda: max_float + max_float,
+        lambda: max_float - (-max_float),
+        lambda: big.scale(1e200),
+        lambda: big.scale((0, 1e200)),
+    ):
+        with pytest.raises(AlgebraError, match="overflow"):
+            result()
+    # the exact backend keeps every digit
+    exact = mv("1" + "0" * 200 + "*e1", 2, 0)
+    assert exact * exact == Multivector.scalar(Signature(2, 0), 10**400)

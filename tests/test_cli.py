@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cliffqt import Multivector, Signature, qtype
+from cliffqt import Multivector, Signature, cli, qtype
 from cliffqt.cli import main
 from cliffqt.mvtext import format_mv
 
@@ -256,3 +256,52 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--sig", "oops", "e1", "e1"])
     assert exc.value.code == 2
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the other output form was built")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--sig", "3,0", "--field", "complex", "1 + 2*e1 - i*e12 + e123"),
+        ("project", "--sig", "3,0", "2", "1 + e12 - 3*e23"),
+        ("mul", "--sig", "3,0", "1 + e1", "e12"),
+    ],
+    ids=["classify", "project", "mul"],
+)
+def test_only_the_printed_form_is_built(capsys, monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "mv_to_dict", _refuse)
+        code, text, err = run(capsys, *argv)
+    assert code == 0 and text and not err
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "format_mv", _refuse)
+        code, js, err = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(js) and not err
+
+
+_LONG = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--sig", "2,0", _LONG),
+        ("classify", "--sig", "12,0", "e{" + _LONG + "}"),
+        ("infer", _LONG + "*x"),
+        ("mul", "--sig", "2,0", "1" * 3000, "1" * 3000),
+        ("mul", "--sig", "2,0", "--json", "1" * 3000, "1" * 3000),
+    ],
+    ids=["coefficient", "index", "dsl-factor", "product", "product-json"],
+)
+def test_digit_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and err.startswith("error:") and "4300 digits" in err
+
+
+def test_float_arithmetic_overflow_exits_2(capsys):
+    big = "1" + "0" * 200 + "*e1"
+    code, out, err = run(capsys, "mul", "--backend", "float", "--sig", "2,0", big, big)
+    assert code == 2 and not out and "overflow" in err

@@ -18,6 +18,8 @@ from cliffqt import (
     mv_to_dict,
     parse_mv,
 )
+from cliffqt.algebra import blade_indices
+from cliffqt.mvtext import MAX_DIGITS, _blade_text
 
 from conftest import random_mv
 
@@ -328,3 +330,71 @@ def multivectors(draw):
 def test_text_and_dict_forms_round_trip(u):
     assert parse_mv(format_mv(u), u.sig, u.field, u.backend) == u
     assert mv_from_dict(mv_to_dict(u)) == u
+
+
+def _naive_blade_text(mask, n):
+    indices = [str(a) for a in blade_indices(mask)]
+    if not indices:
+        return "e"
+    return "e" + "".join(indices) if n <= 9 else "e{" + ",".join(indices) + "}"
+
+
+def test_blade_text_matches_the_index_list(rng):
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            assert _blade_text(mask, n) == _naive_blade_text(mask, n)
+    for n in range(11, 71):
+        # every byte edge (8/9, 16/17, 64/65) is crossed by some mask
+        masks = [rng.getrandbits(n) for _ in range(40)] + [(1 << n) - 1, 1 << (n - 1), 0x1FF, 0x1FF00]
+        for mask in masks:
+            mask &= (1 << n) - 1
+            assert _blade_text(mask, n) == _naive_blade_text(mask, n)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("1" * (MAX_DIGITS + 1), 1),
+        ("e{1} + 2/" + "1" * (MAX_DIGITS + 1), 10),
+        ("e{1} - 1." + "1" * MAX_DIGITS, 8),
+        ("3*e{1, " + "1" * (MAX_DIGITS + 1) + "}", 3),
+    ],
+    ids=["integer", "denominator", "decimal", "index"],
+)
+def test_numbers_past_the_digit_limit_fail_at_their_position(text, col):
+    with pytest.raises(ParseError, match="more than 4300 digits") as info:
+        parse_mv(text, Signature(12, 0))
+    assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_numbers_at_the_digit_limit_round_trip():
+    sig = Signature(2, 0)
+    for text in ("9" * MAX_DIGITS, "1/" + "7" * MAX_DIGITS, "0." + "5" * (MAX_DIGITS - 1)):
+        u = parse_mv(text, sig)
+        assert parse_mv(format_mv(u), sig) == u
+        assert mv_from_dict(mv_to_dict(u)) == u
+
+
+def test_unprintable_or_unreadable_coefficients_are_algebra_errors():
+    sig = Signature(2, 0)
+    u = parse_mv("1" * 3000, sig)
+    with pytest.raises(AlgebraError, match="digits to print"):
+        format_mv(u * u)
+    with pytest.raises(AlgebraError, match="digits to print"):
+        mv_to_dict(u * u)
+    for value in ("1" * (MAX_DIGITS + 1), "1/" + "1" * (MAX_DIGITS + 1), "abc", "1/0"):
+        data = {
+            "signature": {"p": 2, "q": 0},
+            "field": REAL,
+            "backend": EXACT,
+            "terms": [{"blade": [1], "re": value, "im": "0"}],
+        }
+        with pytest.raises(AlgebraError, match="bad coefficient"):
+            mv_from_dict(data)
+
+
+def test_dict_form_reads_ints_as_ints():
+    data = mv_to_dict(parse_mv("3 - 12*e1 + 5/2*e2 + 0.25*e12", Signature(2, 0)))
+    u = mv_from_dict(data)
+    assert [type(re) for _, (re, _) in u.terms()] == [int, int, Fraction, Fraction]
+    assert all(type(im) is int for _, (_, im) in u.terms())
