@@ -43,13 +43,6 @@ _TABLES = {
 }
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("CLIFFQT_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _parse_sig(text: str) -> Signature:
     try:
         p, q = (int(part) for part in text.split(","))
@@ -166,8 +159,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.trials < 1:
-        raise AlgebraError(f"trials must be >= 1, got {args.trials}")
     env, expr = parse_program(args.program, args.field)
     report = check_soundness(
         expr,
@@ -227,7 +218,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
+        text = os.environ.get("CLIFFQT_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            # replaying seed 0 instead would hide that the run was not the one asked for
+            parser.error(f"CLIFFQT_SEED must be an integer, got {text!r}")
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, AlgebraError) as exc:

@@ -21,13 +21,16 @@ straight into a name: ``2*x`` and ``2 x`` parse, ``2x`` and ``1e3`` are
 parse errors.
 
 Type inference runs two passes.  The compositional pass folds the closure
-tables over the tree.  The refinement pass rewrites the expression under
-every conjugation of the field (pushing conjugations down to the symbols,
-reversing factor order under anti-automorphisms, conjugating scalars under
-antilinear operations) and, whenever the normal form reproduces the
-expression or its negation, intersects with the matching +-1 eigenspace.
-That second pass is what recovers the U*rev(U)-style identities that no
-per-node rule can see.
+tables over the tree.  The refinement pass builds the expression's normal
+form once: a polynomial whose words are products of conjugated symbols,
+with conjugations pushed down to the symbols and brackets expanded
+(``[a, b] = ab - ba``, ``{a, b} = ab + ba``).  The form under each
+conjugation of the field is that form relabelled: each word reversed under
+an anti-automorphism, the conjugation's bits flipped at every symbol, and
+the coefficients conjugated under an antilinear one.  Whenever the
+relabelled form equals the form or its negation, the type is intersected
+with the matching +-1 eigenspace.  That second pass is what recovers the
+U*rev(U)-style identities that no per-node rule can see.
 """
 
 from __future__ import annotations
@@ -415,30 +418,26 @@ def format_program(env: TypeEnv, expr: Expr) -> str:
 
 # ------------------------------------------------------------------ normal form
 
-# A canonical form is a polynomial: {monomial: (re, im)} with int parts, or
-# Fraction parts where a non-integral scalar factor enters.  A monomial is a
-# tuple of factors, each ("sym", name, conj_bits) or ("comm"/"acomm", mono,
-# mono).  Product factor order is preserved; comm operands are sorted with a
-# sign flip, acomm operands are sorted freely.
+# A normal form is a polynomial in the free associative algebra of conjugated
+# symbols: {word: (re, im)} with int parts, or Fraction parts where a
+# non-integral scalar factor enters.  A word is a tuple of (name, conj_bits)
+# factors in product order.  Brackets are expanded, [a, b] = ab - ba and
+# {a, b} = ab + ba, so two forms are equal exactly when the expressions agree
+# in the free algebra.  A conjugation acts on a form by relabelling its words
+# (see _conjugate), so one tree walk gives the form under every conjugation.
 
 _ONE = (1, 0)
+_MINUS_ONE = (-1, 0)
 
-# Most term pairs one product or bracket of normal forms may combine.  The
-# expansion of (x+y)*...*(x+y) doubles per factor; past this bound inference
-# keeps the compositional type, which is sound, only less precise.
+# Most term pairs one product of normal forms may combine.  The expansion of
+# (x+y)*...*(x+y) doubles per factor, and a bracket is two products; past
+# this bound inference keeps the compositional type, which is sound, only
+# less precise.
 MAX_MONOMIALS = 4096
 
 
 class _TooManyMonomials(AlgebraError):
     """A normal form would combine more than MAX_MONOMIALS term pairs."""
-
-
-def _check_pairs(p1: dict, p2: dict) -> None:
-    if len(p1) * len(p2) > MAX_MONOMIALS:
-        raise _TooManyMonomials(
-            f"normal form would combine {len(p1)} x {len(p2)} monomials, "
-            f"more than {MAX_MONOMIALS}"
-        )
 
 
 def _cmul(c1, c2):
@@ -447,116 +446,78 @@ def _cmul(c1, c2):
     return (a * c - b * d, a * d + b * c)
 
 
-def _poly_add(p1: dict, p2: dict) -> dict:
-    out = dict(p1)
-    for mono, c in p2.items():
-        cur = out.get(mono)
+def _accumulate(out: dict, terms) -> dict:
+    """Add each (word, coef) of terms into out, dropping words that cancel."""
+    for word, c in terms:
+        cur = out.get(word)
         if cur is None:
-            out[mono] = c
+            out[word] = c
         else:
             re, im = cur[0] + c[0], cur[1] + c[1]
             if re == 0 and im == 0:
-                del out[mono]
+                del out[word]
             else:
-                out[mono] = (re, im)
+                out[word] = (re, im)
     return out
+
+
+def _poly_add(p1: dict, p2: dict) -> dict:
+    return _accumulate(dict(p1), p2.items())
 
 
 def _poly_scale(p: dict, c) -> dict:
     if c[0] == 0 and c[1] == 0:
         return {}
-    return {mono: _cmul(coef, c) for mono, coef in p.items()}
-
-
-def _poly_neg(p: dict) -> dict:
-    return {mono: (-re, -im) for mono, (re, im) in p.items()}
+    return {word: _cmul(coef, c) for word, coef in p.items()}
 
 
 def _poly_mul(p1: dict, p2: dict) -> dict:
-    _check_pairs(p1, p2)
-    out: dict = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            mono = m1 + m2
-            c = _cmul(c1, c2)
-            cur = out.get(mono)
-            if cur is None:
-                out[mono] = c
-            else:
-                re, im = cur[0] + c[0], cur[1] + c[1]
-                if re == 0 and im == 0:
-                    del out[mono]
-                else:
-                    out[mono] = (re, im)
-    return out
+    if len(p1) * len(p2) > MAX_MONOMIALS:
+        raise _TooManyMonomials(
+            f"normal form would combine {len(p1)} x {len(p2)} monomials, "
+            f"more than {MAX_MONOMIALS}"
+        )
+    pairs = ((w1 + w2, _cmul(c1, c2)) for w1, c1 in p1.items() for w2, c2 in p2.items())
+    return _accumulate({}, pairs)
 
 
-def _poly_bracket(p1: dict, p2: dict, anti: bool) -> dict:
-    _check_pairs(p1, p2)
-    out: dict = {}
-    for m1, c1 in p1.items():
-        k1 = repr(m1)
-        for m2, c2 in p2.items():
-            c = _cmul(c1, c2)
-            k2 = repr(m2)
-            if anti:
-                mono = (("acomm", m1, m2) if k1 <= k2 else ("acomm", m2, m1),)
-            else:
-                if k1 == k2:
-                    continue  # [A, A] = 0
-                if k1 < k2:
-                    mono = (("comm", m1, m2),)
-                else:
-                    mono = (("comm", m2, m1),)
-                    c = (-c[0], -c[1])
-            cur = out.get(mono)
-            if cur is None:
-                out[mono] = c
-            else:
-                re, im = cur[0] + c[0], cur[1] + c[1]
-                if re == 0 and im == 0:
-                    del out[mono]
-                else:
-                    out[mono] = (re, im)
-    return out
+def _conjugate(poly: dict, bits: int) -> dict:
+    """Conjugation ``bits`` of a normal form; one to one on words, so no terms merge."""
+    step = -1 if bits & _REV else 1  # an anti-automorphism reverses products
+    sign = -1 if bits & _CCONJ else 1  # an antilinear one conjugates scalars
+    return {
+        tuple((name, b ^ bits) for name, b in word[::step]): (re, sign * im)
+        for word, (re, im) in poly.items()
+    }
 
 
-def canonical_form(expr: Expr, conj: int = 0) -> dict:
-    """Normal form of a conjugation applied to expr, conjugations at symbols.
+def canonical_form(expr: Expr) -> dict:
+    """Normal form of expr, with every conjugation pushed down to the symbols.
 
-    ``conj`` is a (rev, gri, conj) bit code; 0 normalizes expr itself.
-    Raises ``AlgebraError`` when a product or bracket would combine more than
+    Raises ``AlgebraError`` when a product would combine more than
     ``MAX_MONOMIALS`` term pairs.
     """
     if isinstance(expr, Sym):
-        return {(("sym", expr.name, conj),): _ONE}
+        return {((expr.name, 0),): _ONE}
     if isinstance(expr, Conj):
-        return canonical_form(expr.child, conj ^ conjugation_bits(expr.op))
+        return _conjugate(canonical_form(expr.child), conjugation_bits(expr.op))
     if isinstance(expr, Add):
-        return _poly_add(canonical_form(expr.left, conj), canonical_form(expr.right, conj))
+        return _poly_add(canonical_form(expr.left), canonical_form(expr.right))
     if isinstance(expr, Neg):
-        return _poly_neg(canonical_form(expr.child, conj))
+        return _poly_scale(canonical_form(expr.child), _MINUS_ONE)
     if isinstance(expr, ScalarMul):
-        return _poly_scale(canonical_form(expr.child, conj), (expr.factor, 0))
+        return _poly_scale(canonical_form(expr.child), (expr.factor, 0))
     if isinstance(expr, IMul):
-        # antilinear conjugations flip i
-        unit = (0, -1) if conj & _CCONJ else (0, 1)
-        return _poly_scale(canonical_form(expr.child, conj), unit)
+        return _poly_scale(canonical_form(expr.child), (0, 1))
     if isinstance(expr, Prod):
-        lhs = canonical_form(expr.left, conj)
-        rhs = canonical_form(expr.right, conj)
-        if conj & _REV:
-            return _poly_mul(rhs, lhs)
-        return _poly_mul(lhs, rhs)
-    if isinstance(expr, Comm):
-        out = _poly_bracket(
-            canonical_form(expr.left, conj), canonical_form(expr.right, conj), anti=False
-        )
-        return _poly_neg(out) if conj & _REV else out
-    if isinstance(expr, AntiComm):
-        return _poly_bracket(
-            canonical_form(expr.left, conj), canonical_form(expr.right, conj), anti=True
-        )
+        return _poly_mul(canonical_form(expr.left), canonical_form(expr.right))
+    if isinstance(expr, (Comm, AntiComm)):
+        lhs = canonical_form(expr.left)
+        rhs = canonical_form(expr.right)
+        swapped = _poly_mul(rhs, lhs)
+        if isinstance(expr, Comm):
+            swapped = _poly_scale(swapped, _MINUS_ONE)
+        return _poly_add(_poly_mul(lhs, rhs), swapped)
     raise TypeError(f"not an Expr: {expr!r}")
 
 
@@ -600,8 +561,6 @@ def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
     is skipped and the compositional type is returned.
     """
     result = _infer_compositional(expr, env)
-    # a conjugation maps monomials one to one, so when the base form is within
-    # MAX_MONOMIALS, so are the rewritten forms below
     try:
         base = canonical_form(expr)
     except _TooManyMonomials:
@@ -609,12 +568,12 @@ def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
     if not base:
         # the normal form cancelled everything: the value is identically zero
         return TypeSet.empty(env.field)
-    neg = _poly_neg(base)
+    neg = _poly_scale(base, _MINUS_ONE)
     for bits in conjugation_codes(env.field):
-        rewritten = canonical_form(expr, bits)
-        if rewritten == base:
+        image = _conjugate(base, bits)
+        if image == base:
             result = result & eigenspace(bits, 1, env.field)
-        elif rewritten == neg:
+        elif image == neg:
             result = result & eigenspace(bits, -1, env.field)
     return result
 

@@ -252,6 +252,16 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out_default)["passed"] and json.loads(out_env)["passed"]
 
 
+def test_malformed_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLIFFQT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--sig", "2,0", "x*rev(x)"])
+    assert exc.value.code == 2
+    assert "CLIFFQT_SEED" in capsys.readouterr().err
+    # an explicit --seed does not read the variable
+    assert run(capsys, "check", "--sig", "2,0", "--seed", "3", "x*rev(x)")[0] == 0
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--sig", "oops", "e1", "e1"])

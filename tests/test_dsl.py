@@ -191,6 +191,11 @@ def test_format_program_roundtrip_corpus():
         ("2*[x, gri(x)] - [x, gri(x)]", REAL, "13"),
         ("[x, x]", REAL, "∅"),
         ("let a:0; let b:0; {a, b} + [a, b]", REAL, "02"),
+        # brackets expand into words, so free-algebra identities cancel
+        ("let y:02; [y, y*y]", REAL, "∅"),
+        ("[[x,y],z] + [[y,z],x] + [[z,x],y]", REAL, "∅"),  # Jacobi
+        ("[x*y, z] - x*[y, z] - [x, z]*y", REAL, "∅"),  # Leibniz
+        ("i*x + i*conj(x)", COMPLEX, "i0123"),  # conj negates i
     ],
 )
 def test_infer_examples(program, field, expected):
@@ -239,7 +244,7 @@ def test_normal_form_coefficients_stay_integers():
     env, expr = parse_program("2*x + 3.0*[x, y] - i*{x, y} + 1/2*y", COMPLEX)
     assert expr.left.left.left.factor == 2 and type(expr.left.left.left.factor) is int
     form = canonical_form(expr)
-    y = (("sym", "y", 0),)
+    y = (("y", 0),)
     assert form.pop(y) == (Fraction(1, 2), 0)  # the only non-integral factor
     assert all(type(c) is int for coef in form.values() for c in coef)
 
@@ -258,6 +263,18 @@ def test_monomial_cap_falls_back_to_the_compositional_type():
     assert str(infer_type(expr, env)) == "02"
     with pytest.raises(AlgebraError, match="more than 4096"):
         canonical_form(expr)
+
+    # an expanded bracket doubles the words, so a deep nest of brackets over
+    # two-word operands passes the cap too
+    text = "x*rev(x)"
+    for _ in range(20):
+        text = f"[{text}, {{x, rev(x)}}]"
+    env, expr = parse_program(f"let x:1; {text}")
+    with pytest.raises(AlgebraError, match="more than 4096"):
+        canonical_form(expr)
+    assert str(_infer_compositional(expr, env)) == "02"
+    assert str(infer_type(expr, env)) == "02"
+    assert check_soundness(expr, env, Signature(2, 1), trials=3).passed
 
 
 def test_scalar_zero_annihilates():
