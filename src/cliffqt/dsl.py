@@ -4,7 +4,7 @@ Grammar::
 
     program := (decl ';')* expr
     decl    := 'let' IDENT ':' typeset
-    typeset := [0123]+ ('+' 'i' [0123]+)? | 'i' [0123]+
+    typeset := [0123]+ ('+' 'i' [0123]+)? | 'i' [0123]+ | '∅' | '0set'
     expr    := prod (('+'|'-') prod)*
     prod    := unary ('*' unary)*
     unary   := rational ['*'] unary | 'i' ['*'] unary | '-' unary | atom
@@ -19,6 +19,15 @@ is read by :func:`cliffqt.qtype.parse_typeset` from the source between
 :mod:`cliffqt.mvtext` (ASCII digits 0-9 only), and a number may not run
 straight into a name: ``2*x`` and ``2 x`` parse, ``2x`` and ``1e3`` are
 parse errors.
+
+The tree has one node per operation.  ``Add`` and ``Prod`` hold two or more
+operands and splice in a nested node of their own kind, so ``x + (y + z)``
+and ``x + y + z`` are the same tree.  ``Scale`` is a field scalar times its
+child, with an (re, im) coefficient that is real or purely imaginary; a
+minus sign, a number and ``i`` all build one, and nested ones multiply into
+one, so ``-3*x`` is ``Scale((-3, 0), x)``.  ``Bracket`` is ``[a, b]`` with
+sign -1 or ``{a, b}`` with sign +1.  Formatting a tree and parsing the text
+back gives the same tree.
 
 Type inference runs two passes.  The compositional pass folds the closure
 tables over the tree.  The refinement pass builds the expression's normal
@@ -35,10 +44,12 @@ U*rev(U)-style identities that no per-node rule can see.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -72,8 +83,6 @@ from .qtype import (
 
 # ------------------------------------------------------------------ AST
 
-# ``pos`` is the character offset of a node's first token in the source.
-
 class Expr:
     __slots__ = ()
 
@@ -81,61 +90,72 @@ class Expr:
 @dataclass(frozen=True)
 class Sym(Expr):
     name: str
-    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-    pos: int = field(default=None, compare=False, repr=False)
+class _Chain(Expr):
+    """Two or more operands; a nested chain of the same kind is spliced in."""
+
+    terms: tuple
+
+    def __post_init__(self):
+        terms = []
+        for term in self.terms:
+            terms.extend(term.terms if type(term) is type(self) else (term,))
+        if len(terms) < 2:
+            raise ValueError(f"{type(self).__name__} needs two or more operands")
+        object.__setattr__(self, "terms", tuple(terms))
+
+
+class Add(_Chain):
+    """Sum of its terms."""
+
+
+class Prod(_Chain):
+    """Product of its factors, in order."""
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
+class Scale(Expr):
+    """``coef * child``, with coef an (re, im) pair whose re or im is zero."""
+
+    coef: tuple
     child: Expr
-    pos: int = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        coef, child = self.coef, self.child
+        if isinstance(child, Scale):
+            coef, child = _cmul(coef, child.coef), child.child
+        re, im = (q.numerator if q.denominator == 1 else q for q in map(Fraction, coef))
+        if re and im:
+            raise ValueError(f"coefficient {coef} is neither real nor imaginary")
+        object.__setattr__(self, "coef", (re, im))
+        object.__setattr__(self, "child", child)
 
 
 @dataclass(frozen=True)
-class ScalarMul(Expr):
-    factor: int | Fraction  # an int when integral
-    child: Expr
-    pos: int = field(default=None, compare=False, repr=False)
+class Bracket(Expr):
+    """``left*right + sign*right*left``: [l, r] with sign -1, {l, r} with +1."""
 
-
-@dataclass(frozen=True)
-class IMul(Expr):
-    child: Expr
-    pos: int = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Prod(Expr):
+    sign: int
     left: Expr
     right: Expr
-    pos: int = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Comm(Expr):
-    left: Expr
-    right: Expr
-    pos: int = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class AntiComm(Expr):
-    left: Expr
-    right: Expr
-    pos: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Conj(Expr):
     op: str  # rev | gri | conj | phc
     child: Expr
-    pos: int = field(default=None, compare=False, repr=False)
+
+
+def _children(expr: Expr) -> tuple:
+    if isinstance(expr, _Chain):
+        return expr.terms
+    if isinstance(expr, Bracket):
+        return (expr.left, expr.right)
+    if isinstance(expr, (Scale, Conj)):
+        return (expr.child,)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -151,13 +171,13 @@ class TypeEnv:
 
 
 def free_symbols(expr: Expr) -> set[str]:
-    if isinstance(expr, Sym):
-        return {expr.name}
     out: set[str] = set()
-    for attr in ("left", "right", "child"):
-        sub = getattr(expr, attr, None)
-        if sub is not None:
-            out |= free_symbols(sub)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            out.add(node.name)
+        stack.extend(_children(node))
     return out
 
 
@@ -165,7 +185,7 @@ def free_symbols(expr: Expr) -> set[str]:
 
 _KEYWORDS = {"let", "rev", "gri", "conj", "phc", "i"}
 _CONJ_NAMES = {"rev", "gri", "conj", "phc"}
-_PUNCT = "+-*/()[]{},:;"
+_PUNCT = "+-*/()[]{},;"
 
 
 def _tokenize(text: str):
@@ -191,6 +211,10 @@ def _tokenize(text: str):
             kind = "IDENT"
             while j < end and (text[j].isalnum() or text[j] == "_"):
                 j += 1
+        elif ch == ":":  # runs to the next ';': the colon and a declared type set
+            kind = ch
+            j = text.find(";", i)
+            j = end if j < 0 else j
         elif ch in _PUNCT:
             kind = ch
         else:
@@ -202,10 +226,12 @@ def _tokenize(text: str):
 
 
 class _DslParser:
-    # Deepest expression tree accepted, and deepest nesting of brackets and
-    # prefixes.  A nesting level costs the parser four frames; a tree level
-    # costs one frame in each recursive pass (canonical_form, inference,
-    # evaluation, formatting).  100 keeps all of them far below Python's
+    # Deepest nesting of brackets, parentheses and prefixes; a chain of '+',
+    # '-' or '*' adds no nesting.  A nesting level costs the parser five
+    # frames and adds at most three tree levels (a sum, a product and the
+    # bracket, conjugation or scalar), and each recursive pass
+    # (canonical_form, inference, evaluation, formatting) spends at most two
+    # frames per tree level.  100 keeps all of them far below Python's
     # default recursion limit of 1000.
     MAX_DEPTH = 100
 
@@ -216,7 +242,6 @@ class _DslParser:
         self.depth = 0
         self.field = field
         self.types: dict[str, TypeSet] = {}
-        self.declared: set[str] = set()
 
     def _peek(self):
         return self.toks[self.i]
@@ -243,66 +268,41 @@ class _DslParser:
         tok = self._peek()
         if tok[0] != "EOF":
             self._fail(f"unexpected trailing input {tok[1]!r}")
-        self._check_tree_depth(expr)
         for name in sorted(free_symbols(expr)):
             self.types.setdefault(name, TypeSet.full(self.field))
         return TypeEnv(self.field, self.types), expr
-
-    def _check_tree_depth(self, expr: Expr) -> None:
-        """Reject a tree deeper than MAX_DEPTH, such as a very long sum or product."""
-        stack = [(expr, 1)]
-        while stack:
-            node, depth = stack.pop()
-            if depth > self.MAX_DEPTH:
-                self._fail(f"expression nested deeper than {self.MAX_DEPTH} levels", node.pos)
-            for attr in ("left", "right", "child"):
-                sub = getattr(node, attr, None)
-                if sub is not None:
-                    stack.append((sub, depth + 1))
 
     def _decl(self):
         self._next()  # let
         kind, name, pos = self._next()
         if kind != "IDENT" or name in _KEYWORDS:
             self._fail("expected a symbol name after 'let'", pos)
-        if name in self.declared:
+        if name in self.types:
             self._fail(f"duplicate declaration of {name!r}", pos)
-        self._expect(":")
-        tset = self._typeset()
-        self._expect(";")
-        self.declared.add(name)
-        self.types[name] = tset
-
-    def _typeset(self) -> TypeSet:
-        """The type set from here to the next ';', read by ``parse_typeset``."""
-        start = self._peek()[2]
-        while self._peek()[0] not in (";", "EOF"):
-            self._next()
+        _, source, pos = self._expect(":")
         try:
-            return parse_typeset(self.text[start : self._peek()[2]], self.field)
+            self.types[name] = parse_typeset(source[1:], self.field)
         except AlgebraError as exc:
-            message = str(exc)
-        self._fail(message, start)
+            self._fail(str(exc), pos + 1)
+        self._expect(";")
 
     def _expr(self) -> Expr:
-        node = self._prod()
+        terms = [self._prod()]
         while self._peek()[0] in ("+", "-"):
-            kind, _, pos = self._next()
-            rhs = self._prod()
-            if kind == "-":
-                rhs = Neg(rhs, pos=pos)
-            node = Add(node, rhs, pos=pos)
-        return node
+            minus = self._next()[0] == "-"
+            term = self._prod()
+            terms.append(Scale(_MINUS_ONE, term) if minus else term)
+        return terms[0] if len(terms) == 1 else Add(terms)
 
     def _prod(self) -> Expr:
-        node = self._unary()
+        factors = [self._unary()]
         while self._peek()[0] == "*":
-            _, _, pos = self._next()
-            node = Prod(node, self._unary(), pos=pos)
-        return node
+            self._next()
+            factors.append(self._unary())
+        return factors[0] if len(factors) == 1 else Prod(factors)
 
     def _unary(self) -> Expr:
-        """Every nesting of brackets and prefixes passes through here."""
+        """Every nesting of brackets, parentheses and prefixes passes through here."""
         self.depth += 1
         if self.depth > self.MAX_DEPTH:
             self._fail(f"expression nested deeper than {self.MAX_DEPTH} levels")
@@ -312,6 +312,9 @@ class _DslParser:
 
     def _prefixed(self) -> Expr:
         kind, lexeme, pos = self._peek()
+        if kind == "-":
+            self._next()
+            return Scale(_MINUS_ONE, self._unary())
         if kind in ("INT", "DECIMAL"):
             self._next()
             if kind == "INT" and self._peek()[0] == "/":
@@ -321,25 +324,19 @@ class _DslParser:
                     self._fail("fraction denominator must be an integer", dpos)
                 if int(dlex) == 0:
                     self._fail("zero denominator", dpos)
-                factor = Fraction(int(lexeme), int(dlex))
+                coef = (Fraction(int(lexeme), int(dlex)), 0)
             else:
-                factor = Fraction(lexeme)
-            if factor.denominator == 1:
-                factor = int(factor)
-            if self._peek()[0] == "*":
-                self._next()
-            return ScalarMul(factor, self._unary(), pos=pos)
-        if kind == "IDENT" and lexeme == "i":
+                coef = (Fraction(lexeme), 0)
+        elif kind == "IDENT" and lexeme == "i":
             self._next()
             if self.field != COMPLEX:
                 self._fail("'i' needs the complex field", pos)
-            if self._peek()[0] == "*":
-                self._next()
-            return IMul(self._unary(), pos=pos)
-        if kind == "-":
+            coef = (0, 1)
+        else:
+            return self._atom()
+        if self._peek()[0] == "*":
             self._next()
-            return Neg(self._unary(), pos=pos)
-        return self._atom()
+        return Scale(coef, self._unary())
 
     def _atom(self) -> Expr:
         kind, lexeme, pos = self._next()
@@ -350,28 +347,22 @@ class _DslParser:
                 self._expect("(")
                 inner = self._expr()
                 self._expect(")")
-                return Conj(lexeme, inner, pos=pos)
+                return Conj(lexeme, inner)
             if lexeme in _KEYWORDS:
                 self._fail(f"unexpected keyword {lexeme!r}", pos)
             if self._peek()[0] == "(":
                 self._fail(f"unknown conjugation name {lexeme!r}", pos)
-            return Sym(lexeme, pos=pos)
+            return Sym(lexeme)
         if kind == "(":
             inner = self._expr()
             self._expect(")")
             return inner
-        if kind == "[":
+        if kind in ("[", "{"):
             left = self._expr()
             self._expect(",")
             right = self._expr()
-            self._expect("]")
-            return Comm(left, right, pos=pos)
-        if kind == "{":
-            left = self._expr()
-            self._expect(",")
-            right = self._expr()
-            self._expect("}")
-            return AntiComm(left, right, pos=pos)
+            self._expect("]" if kind == "[" else "}")
+            return Bracket(-1 if kind == "[" else 1, left, right)
         self._fail(f"unexpected token {lexeme!r}", pos)
 
 
@@ -387,28 +378,36 @@ def format_expr(expr: Expr, prec: int = 0) -> str:
         return expr.name
     if isinstance(expr, Conj):
         return f"{expr.op}({format_expr(expr.child)})"
-    if isinstance(expr, Comm):
-        return f"[{format_expr(expr.left)}, {format_expr(expr.right)}]"
-    if isinstance(expr, AntiComm):
-        return f"{{{format_expr(expr.left)}, {format_expr(expr.right)}}}"
+    if isinstance(expr, Bracket):
+        left, right = format_expr(expr.left), format_expr(expr.right)
+        return f"[{left}, {right}]" if expr.sign < 0 else f"{{{left}, {right}}}"
+    if isinstance(expr, Scale):
+        return "".join(_scale_text(expr))
     if isinstance(expr, Add):
-        if isinstance(expr.right, Neg):
-            text = f"{format_expr(expr.left, 0)} - {format_expr(expr.right.child, 2)}"
-        else:
-            text = f"{format_expr(expr.left, 0)} + {format_expr(expr.right, 1)}"
+        parts = [format_expr(expr.terms[0], 1)]
+        for term in expr.terms[1:]:
+            sign, text = _scale_text(term) if isinstance(term, Scale) else ("", format_expr(term, 1))
+            parts.append(f" {sign or '+'} {text}")
+        text = "".join(parts)
         return f"({text})" if prec > 0 else text
     if isinstance(expr, Prod):
-        text = f"{format_expr(expr.left, 1)}*{format_expr(expr.right, 2)}"
+        text = "*".join([format_expr(factor, 2) for factor in expr.terms])
         return f"({text})" if prec > 1 else text
-    if isinstance(expr, Neg):
-        return f"-{format_expr(expr.child, 2)}"
-    if isinstance(expr, ScalarMul):
-        q = expr.factor
-        body = f"{q}*{format_expr(expr.child, 2)}"
-        return body if q >= 0 else f"-{-q}*{format_expr(expr.child, 2)}"
-    if isinstance(expr, IMul):
-        return f"i*{format_expr(expr.child, 2)}"
     raise TypeError(f"not an Expr: {expr!r}")
+
+
+def _scale_text(expr: Scale) -> tuple[str, str]:
+    """The sign of a Scale, '-' or '', and the text that reads back as its
+    child times the coefficient's magnitude: ``x`` after a minus sign, else
+    ``1*x``, ``q*x``, ``i*x`` or ``q*i*x``."""
+    re, im = expr.coef
+    q = re or im
+    text = format_expr(expr.child, 2)
+    if im:
+        text = f"i*{text}"
+    if abs(q) != 1 or not (im or q < 0):
+        text = f"{abs(q)}*{text}"
+    return ("-" if q < 0 else ""), text
 
 
 def format_program(env: TypeEnv, expr: Expr) -> str:
@@ -461,10 +460,6 @@ def _accumulate(out: dict, terms) -> dict:
     return out
 
 
-def _poly_add(p1: dict, p2: dict) -> dict:
-    return _accumulate(dict(p1), p2.items())
-
-
 def _poly_scale(p: dict, c) -> dict:
     if c[0] == 0 and c[1] == 0:
         return {}
@@ -479,6 +474,25 @@ def _poly_mul(p1: dict, p2: dict) -> dict:
         )
     pairs = ((w1 + w2, _cmul(c1, c2)) for w1, c1 in p1.items() for w2, c2 in p2.items())
     return _accumulate({}, pairs)
+
+
+def _poly_prod(forms: list) -> dict:
+    """Product of normal forms, folded left to right.
+
+    A run of one-word forms is joined into one word in one step, so
+    ``x*x*...*x`` is linear in its length; a one-word factor never reaches
+    MAX_MONOMIALS, so the join changes no result.
+    """
+    if not all(forms):
+        return {}
+    acc = {(): _ONE}
+    for one_word, run in itertools.groupby(forms, lambda form: len(form) == 1):
+        if one_word:
+            words, coefs = zip(*(next(iter(form.items())) for form in run))
+            run = [{tuple(itertools.chain.from_iterable(words)): functools.reduce(_cmul, coefs)}]
+        for form in run:
+            acc = _poly_mul(acc, form)
+    return acc
 
 
 def _conjugate(poly: dict, bits: int) -> dict:
@@ -501,23 +515,19 @@ def canonical_form(expr: Expr) -> dict:
         return {((expr.name, 0),): _ONE}
     if isinstance(expr, Conj):
         return _conjugate(canonical_form(expr.child), conjugation_bits(expr.op))
+    if isinstance(expr, Scale):
+        return _poly_scale(canonical_form(expr.child), expr.coef)
     if isinstance(expr, Add):
-        return _poly_add(canonical_form(expr.left), canonical_form(expr.right))
-    if isinstance(expr, Neg):
-        return _poly_scale(canonical_form(expr.child), _MINUS_ONE)
-    if isinstance(expr, ScalarMul):
-        return _poly_scale(canonical_form(expr.child), (expr.factor, 0))
-    if isinstance(expr, IMul):
-        return _poly_scale(canonical_form(expr.child), (0, 1))
+        out: dict = {}
+        for term in expr.terms:
+            _accumulate(out, canonical_form(term).items())
+        return out
     if isinstance(expr, Prod):
-        return _poly_mul(canonical_form(expr.left), canonical_form(expr.right))
-    if isinstance(expr, (Comm, AntiComm)):
-        lhs = canonical_form(expr.left)
-        rhs = canonical_form(expr.right)
-        swapped = _poly_mul(rhs, lhs)
-        if isinstance(expr, Comm):
-            swapped = _poly_scale(swapped, _MINUS_ONE)
-        return _poly_add(_poly_mul(lhs, rhs), swapped)
+        return _poly_prod([canonical_form(factor) for factor in expr.terms])
+    if isinstance(expr, Bracket):
+        lhs, rhs = canonical_form(expr.left), canonical_form(expr.right)
+        swapped = _poly_scale(_poly_mul(rhs, lhs), (expr.sign, 0))
+        return _accumulate(_poly_mul(lhs, rhs), swapped.items())
     raise TypeError(f"not an Expr: {expr!r}")
 
 
@@ -526,31 +536,21 @@ def canonical_form(expr: Expr) -> dict:
 def _infer_compositional(expr: Expr, env: TypeEnv) -> TypeSet:
     if isinstance(expr, Sym):
         return env.lookup(expr.name)
-    if isinstance(expr, Add):
-        return _infer_compositional(expr.left, env) | _infer_compositional(expr.right, env)
-    if isinstance(expr, Neg):
-        return _infer_compositional(expr.child, env)
-    if isinstance(expr, ScalarMul):
-        if expr.factor == 0:
-            return TypeSet.empty(env.field)
-        return _infer_compositional(expr.child, env)
-    if isinstance(expr, IMul):
-        return _infer_compositional(expr.child, env).i_flip()
-    if isinstance(expr, Prod):
-        return product_type(
-            _infer_compositional(expr.left, env), _infer_compositional(expr.right, env)
-        )
-    if isinstance(expr, Comm):
-        return commutator_type(
-            _infer_compositional(expr.left, env), _infer_compositional(expr.right, env)
-        )
-    if isinstance(expr, AntiComm):
-        return anticommutator_type(
-            _infer_compositional(expr.left, env), _infer_compositional(expr.right, env)
-        )
     if isinstance(expr, Conj):
         # every conjugation maps each atom subspace to itself
         return _infer_compositional(expr.child, env)
+    if isinstance(expr, Scale):
+        child = _infer_compositional(expr.child, env)
+        re, im = expr.coef
+        if im:
+            return child.i_flip()
+        return child if re else TypeSet.empty(env.field)
+    if isinstance(expr, (Add, Prod)):
+        types = [_infer_compositional(term, env) for term in expr.terms]
+        return functools.reduce(operator.or_ if isinstance(expr, Add) else product_type, types)
+    if isinstance(expr, Bracket):
+        rule = commutator_type if expr.sign < 0 else anticommutator_type
+        return rule(_infer_compositional(expr.left, env), _infer_compositional(expr.right, env))
     raise TypeError(f"not an Expr: {expr!r}")
 
 
@@ -599,22 +599,16 @@ def eval_expr(expr: Expr, env: TypeEnv, bindings: dict) -> Multivector:
 def _eval(expr: Expr, bindings: dict) -> Multivector:
     if isinstance(expr, Sym):
         return bindings[expr.name]
-    if isinstance(expr, Add):
-        return _eval(expr.left, bindings) + _eval(expr.right, bindings)
-    if isinstance(expr, Neg):
-        return -_eval(expr.child, bindings)
-    if isinstance(expr, ScalarMul):
-        return _eval(expr.child, bindings).scale(expr.factor)
-    if isinstance(expr, IMul):
-        return _eval(expr.child, bindings).scale((0, 1))
-    if isinstance(expr, Prod):
-        return _eval(expr.left, bindings) * _eval(expr.right, bindings)
-    if isinstance(expr, Comm):
-        return commutator(_eval(expr.left, bindings), _eval(expr.right, bindings))
-    if isinstance(expr, AntiComm):
-        return anticommutator(_eval(expr.left, bindings), _eval(expr.right, bindings))
     if isinstance(expr, Conj):
         return apply_conjugation(_eval(expr.child, bindings), expr.op)
+    if isinstance(expr, Scale):
+        return _eval(expr.child, bindings).scale(expr.coef)
+    if isinstance(expr, (Add, Prod)):
+        values = [_eval(term, bindings) for term in expr.terms]
+        return functools.reduce(operator.add if isinstance(expr, Add) else operator.mul, values)
+    if isinstance(expr, Bracket):
+        bracket = commutator if expr.sign < 0 else anticommutator
+        return bracket(_eval(expr.left, bindings), _eval(expr.right, bindings))
     raise TypeError(f"not an Expr: {expr!r}")
 
 

@@ -88,6 +88,9 @@ def test_infer_examples(capsys):
     assert code == 0 and out.strip() == "∅"
     code, out, _ = run(capsys, "infer", "--field", "complex", "--json", "[x, conj(x)]")
     assert json.loads(out)["typeset"] == "i0123"
+    for program in ("let x:∅; x", "let x:0set; let y:2; [x, y]"):
+        code, out, _ = run(capsys, "infer", program)
+        assert code == 0 and out.strip() == "∅"
 
 
 def test_check_pass_and_exit_codes(capsys):
@@ -126,7 +129,7 @@ def test_parse_error_exit_2(capsys):
     [
         "let x:1; " + "rev(" * 600 + "x" + ")" * 600,
         "(" * 3000 + "x" + ")" * 3000,
-        "x" + " + x" * 3000,
+        "x" + " + (x" * 3000 + ")" * 3000,
     ],
     ids=["rev", "parens", "sum"],
 )
@@ -192,6 +195,22 @@ def test_check_refuses_an_oversized_draw(capsys):
     code, _, err = run(capsys, "check", "--sig", "30,0", "--density", "1", "let x:2; x")
     assert code == 2
     assert "expects more than" in err
+
+
+@pytest.mark.parametrize(
+    "program, expected",
+    [
+        ("let x:1; let y:2; " + " + ".join(["x", "y"] * 5000), "12"),
+        ("let x:1; " + "*".join(["x"] * 10000), "02"),
+    ],
+    ids=["sum", "product"],
+)
+def test_long_chains_have_no_length_limit(capsys, program, expected):
+    # a chain of '+' or '*' adds no nesting level, however long it is
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "infer", program)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.strip() == expected
 
 
 def test_infer_long_product_keeps_the_compositional_type(capsys):

@@ -20,6 +20,7 @@ from cliffqt import (
     check_soundness,
     classify_by_rank,
     eval_expr,
+    format_expr,
     format_program,
     infer_type,
     parse_mv,
@@ -31,14 +32,11 @@ from cliffqt import qtype
 from cliffqt.corpus import CORPUS
 from cliffqt.dsl import (
     Add,
-    AntiComm,
-    Comm,
+    Bracket,
     Conj,
-    IMul,
     MAX_MONOMIALS,
-    Neg,
     Prod,
-    ScalarMul,
+    Scale,
     Sym,
     _infer_compositional,
     _unrank_subset,
@@ -56,28 +54,56 @@ def ts(text, field=REAL):
 
 def test_parse_declarations_and_comm():
     env, expr = parse_program("let x:2; let y:2; [x,y]")
-    assert expr == Comm(Sym("x"), Sym("y"))
+    assert expr == Bracket(-1, Sym("x"), Sym("y"))
     assert env.types == {"x": ts("2"), "y": ts("2")}
 
 
 def test_parse_conjugation_nesting():
     env, expr = parse_program("let u:01; [u, rev(u)]")
-    assert expr == Comm(Sym("u"), Conj("rev", Sym("u")))
+    assert expr == Bracket(-1, Sym("u"), Conj("rev", Sym("u")))
     env, expr = parse_program("gri(rev(x))")
     assert expr == Conj("gri", Conj("rev", Sym("x")))
 
 
 def test_parse_precedence_and_unary():
     _, expr = parse_program("x + y*z")
-    assert expr == Add(Sym("x"), Prod(Sym("y"), Sym("z")))
+    assert expr == Add((Sym("x"), Prod((Sym("y"), Sym("z")))))
     _, expr = parse_program("3/2*x - y")
-    assert expr == Add(ScalarMul(Fraction(3, 2), Sym("x")), Neg(Sym("y")))
+    assert expr == Add((Scale((Fraction(3, 2), 0), Sym("x")), Scale((-1, 0), Sym("y"))))
     _, expr = parse_program("i*x", COMPLEX)
-    assert expr == IMul(Sym("x"))
+    assert expr == Scale((0, 1), Sym("x"))
     _, expr = parse_program("{x, y} + [y, x]")
-    assert expr == Add(AntiComm(Sym("x"), Sym("y")), Comm(Sym("y"), Sym("x")))
+    assert expr == Add((Bracket(1, Sym("x"), Sym("y")), Bracket(-1, Sym("y"), Sym("x"))))
     _, expr = parse_program("(x + y)*z")
-    assert expr == Prod(Add(Sym("x"), Sym("y")), Sym("z"))
+    assert expr == Prod((Add((Sym("x"), Sym("y"))), Sym("z")))
+    # chains are n-ary, and a nested chain of the same kind is spliced in
+    x, y, z = Sym("x"), Sym("y"), Sym("z")
+    _, expr = parse_program("x - (y + z)*x*(y*z)")
+    assert expr == Add((x, Scale((-1, 0), Prod((Add((y, z)), x, y, z)))))
+    assert parse_program("x + (y + z)")[1] == parse_program("(x + y) + z")[1] == Add((x, y, z))
+    # prefixes multiply into one Scale
+    _, expr = parse_program("-3*-i*2*x", COMPLEX)
+    assert expr == Scale((0, 6), Sym("x"))
+
+
+def test_scale_coefficients_are_normalized_and_checked():
+    x = Sym("x")
+    assert Scale((-1, 0), Scale((3, 0), x)) == Scale((-3, 0), x)
+    re, im = Scale((Fraction(2), 0), x).coef
+    assert (re, im) == (2, 0) and type(re) is int
+    assert Scale((0, 1), Scale((0, 1), x)) == Scale((-1, 0), x)
+    with pytest.raises(ValueError, match="neither real nor imaginary"):
+        Scale((1, 1), x)
+    with pytest.raises(ValueError, match="two or more"):
+        Add((x,))
+
+
+@pytest.mark.parametrize("coef", [(-3, 0), (0, -2), (Fraction(-3, 2), 0), (-1, 0), (1, 0), (0, 0)])
+def test_negative_and_imaginary_factors_round_trip(coef):
+    x, y = Sym("x"), Sym("y")
+    for expr in (Scale(coef, x), Add((y, Scale(coef, x))), Prod((y, Scale(coef, x), y))):
+        assert parse_program(format_expr(expr), COMPLEX)[1] == expr
+    assert format_expr(Add((y, Scale((-3, 0), x)))) == "y - 3*x"
 
 
 def test_undeclared_symbols_default_to_full():
@@ -152,6 +178,9 @@ def test_typeset_declaration_forms():
     assert env.types["a"] == ts("i2", COMPLEX)
     env, _ = parse_program("let a: 01 + i23 ; a", COMPLEX)
     assert env.types["a"] == ts("01+i23", COMPLEX)
+    for text in ("let a:∅; a", "let a: 0set ; a"):
+        env, _ = parse_program(text, COMPLEX)
+        assert env.types["a"] == TypeSet.empty(COMPLEX)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -196,6 +225,8 @@ def test_format_program_roundtrip_corpus():
         ("[[x,y],z] + [[y,z],x] + [[z,x],y]", REAL, "∅"),  # Jacobi
         ("[x*y, z] - x*[y, z] - [x, z]*y", REAL, "∅"),  # Leibniz
         ("i*x + i*conj(x)", COMPLEX, "i0123"),  # conj negates i
+        ("let x:∅; x", REAL, "∅"),
+        ("let x:0set; let y:2; [x, y]", REAL, "∅"),
     ],
 )
 def test_infer_examples(program, field, expected):
@@ -242,7 +273,8 @@ def test_conjugation_rewrite_is_involutive():
 
 def test_normal_form_coefficients_stay_integers():
     env, expr = parse_program("2*x + 3.0*[x, y] - i*{x, y} + 1/2*y", COMPLEX)
-    assert expr.left.left.left.factor == 2 and type(expr.left.left.left.factor) is int
+    assert expr.terms[0] == Scale((2, 0), Sym("x")) and type(expr.terms[0].coef[0]) is int
+    assert expr.terms[1].coef == (3, 0) and type(expr.terms[1].coef[0]) is int
     form = canonical_form(expr)
     y = (("y", 0),)
     assert form.pop(y) == (Fraction(1, 2), 0)  # the only non-integral factor
@@ -280,6 +312,23 @@ def test_monomial_cap_falls_back_to_the_compositional_type():
 def test_scalar_zero_annihilates():
     env, expr = parse_program("0*x + 0/5*y")
     assert infer_type(expr, env).is_empty
+
+
+@pytest.mark.parametrize("program", ["x*(x - x)*x", "0*x*y*y"])
+def test_a_zero_factor_makes_the_product_zero(program):
+    # the zero factor sits inside the chain, with factors after it
+    env, expr = parse_program(program)
+    assert canonical_form(expr) == {}
+    assert infer_type(expr, env).is_empty
+
+
+def test_products_fold_left_to_right():
+    # Q has 80 three-word factors; a left fold combines at most 159 x 3 term
+    # pairs per step, where a fold by halves would combine 81 x 81 > 4096 and
+    # fall back to the compositional type 0123
+    q = "*".join(["(x + x*x + x*x*x)"] * 80)
+    env, expr = parse_program(f"let x:1; {q} + rev({q})")
+    assert str(infer_type(expr, env)) == "01"
 
 
 # ---------------------------------------------------------------- evaluation

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from cliffqt import COMPLEX, REAL, Signature, TypeEnv, TypeSet, check_soundness, infer_type
 from cliffqt.dsl import (
     Add,
-    AntiComm,
-    Comm,
+    Bracket,
     Conj,
-    IMul,
-    Neg,
     Prod,
-    ScalarMul,
+    Scale,
     Sym,
     _infer_compositional,
     format_program,
@@ -24,10 +21,7 @@ MAX_DEPTH = 5
 _NAMES = ("x", "y", "z")
 _SIGNATURES = (Signature(2, 1), Signature(1, 3))
 
-# factors the parser can produce: a minus sign parses as Neg, so none is negative
-_FACTORS = st.fractions(min_value=0, max_value=5, max_denominator=4).map(
-    lambda q: int(q) if q.denominator == 1 else q
-)
+_MAGNITUDES = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
@@ -36,27 +30,29 @@ def programs(draw):
     field = draw(st.sampled_from((REAL, COMPLEX)))
     names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3, unique=True))
     full = TypeSet.full(field).bits
-    types = {name: TypeSet(field, draw(st.integers(1, full))) for name in names}
-    kinds = ["sym", "add", "neg", "scalar", "prod", "comm", "acomm", "conj"]
-    ops = ["rev", "gri"]
-    if field == COMPLEX:
-        kinds.append("imul")
-        ops += ["conj", "phc"]
+    types = {name: TypeSet(field, draw(st.integers(0, full))) for name in names}
+    ops = ["rev", "gri"] + (["conj", "phc"] if field == COMPLEX else [])
+    imaginary = [False, True] if field == COMPLEX else [False]
+
+    def operands(depth):
+        return [node(depth + 1) for _ in range(draw(st.integers(2, 4)))]
 
     def node(depth):
-        kind = draw(st.sampled_from(kinds)) if depth < MAX_DEPTH else "sym"
+        kind = "sym" if depth >= MAX_DEPTH else draw(
+            st.sampled_from(["sym", "add", "prod", "scale", "bracket", "conj"])
+        )
         if kind == "sym":
             return Sym(draw(st.sampled_from(names)))
-        if kind == "neg":
-            return Neg(node(depth + 1))
-        if kind == "scalar":
-            return ScalarMul(draw(_FACTORS), node(depth + 1))
-        if kind == "imul":
-            return IMul(node(depth + 1))
-        if kind == "conj":
-            return Conj(draw(st.sampled_from(ops)), node(depth + 1))
-        binary = {"add": Add, "prod": Prod, "comm": Comm, "acomm": AntiComm}[kind]
-        return binary(node(depth + 1), node(depth + 1))
+        if kind == "add":
+            return Add(operands(depth))
+        if kind == "prod":
+            return Prod(operands(depth))
+        if kind == "scale":
+            q = draw(_MAGNITUDES)
+            return Scale((0, q) if draw(st.sampled_from(imaginary)) else (q, 0), node(depth + 1))
+        if kind == "bracket":
+            return Bracket(draw(st.sampled_from((-1, 1))), node(depth + 1), node(depth + 1))
+        return Conj(draw(st.sampled_from(ops)), node(depth + 1))
 
     return TypeEnv(field, types), node(1)
 
