@@ -84,15 +84,40 @@ from .qtype import (
 # ------------------------------------------------------------------ AST
 
 class Expr:
+    """A node of the expression tree.
+
+    Equality and hashing compare the nodes in preorder, listed with an
+    explicit stack, so they work on the deepest tree the parser accepts at
+    any recursion limit.
+    """
+
     __slots__ = ()
 
+    def _preorder(self) -> list:
+        """(type, label) of every node; a node's type and label fix its child count."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append((type(node), _label(node)))
+            stack.extend(_children(node))
+        return out
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+
+@dataclass(frozen=True, eq=False)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Chain(Expr):
     """Two or more operands; a nested chain of the same kind is spliced in."""
 
@@ -115,7 +140,7 @@ class Prod(_Chain):
     """Product of its factors, in order."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scale(Expr):
     """``coef * child``, with coef an (re, im) pair whose re or im is zero."""
 
@@ -133,7 +158,7 @@ class Scale(Expr):
         object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bracket(Expr):
     """``left*right + sign*right*left``: [l, r] with sign -1, {l, r} with +1."""
 
@@ -142,10 +167,24 @@ class Bracket(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conj(Expr):
     op: str  # rev | gri | conj | phc
     child: Expr
+
+
+def _label(expr: Expr):
+    """What a node holds besides its children; with its type and its children
+    it determines the node."""
+    if isinstance(expr, _Chain):
+        return len(expr.terms)
+    if isinstance(expr, Sym):
+        return expr.name
+    if isinstance(expr, Scale):
+        return expr.coef
+    if isinstance(expr, Bracket):
+        return expr.sign
+    return expr.op
 
 
 def _children(expr: Expr) -> tuple:
@@ -642,6 +681,33 @@ def _unrank_subset(index: int, n: int, r: int) -> list[int]:
     return out
 
 
+# The exact backend draws each coefficient uniformly from these 18 values.
+_DRAWN_COEFFICIENTS = (-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+
+# Most generators whose dense blade lists stay cached: density 1 is the
+# default up to 10, and the cache then holds at most 40 lists of at most
+# 2^10 masks each.
+_MASK_CACHE_MAX_N = 10
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_masks(n: int, k: int) -> tuple:
+    """Masks of the blades of rank k mod 4 among n generators, in draw order:
+    by rank, then in ``itertools.combinations`` order."""
+    return tuple(
+        sum(1 << b for b in combo)
+        for r in range(k, n + 1, 4)
+        for combo in itertools.combinations(range(n), r)
+    )
+
+
+def _sparse_masks(rng: random.Random, n: int, k: int, density: float):
+    """Masks of the rank-k-mod-4 blades, each kept with probability density."""
+    for r in range(k, n + 1, 4):
+        for combo in _skip_sample(rng, n, r, density):
+            yield sum(1 << b for b in combo)
+
+
 def _skip_sample(rng: random.Random, n: int, r: int, density: float):
     """Yield each r-subset of range(n) independently with probability density.
 
@@ -690,24 +756,28 @@ def random_instance(
             f"expects more than {MAX_EXPECTED_TERMS} terms; lower the density"
         )
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     terms: dict[int, list] = {}
     zero = 0.0 if backend == FLOAT else 0
+    n = sig.n
     for k, imag in tset.atoms():
-        for r in range(k, sig.n + 1, 4):
-            if density < 1.0:
-                blades = _skip_sample(rng, sig.n, r, density)
+        if density < 1.0:
+            masks = _sparse_masks(rng, n, k, density)
+        elif n <= _MASK_CACHE_MAX_N:
+            masks = _dense_masks(n, k)
+        else:
+            masks = _dense_masks.__wrapped__(n, k)
+        for mask in masks:
+            if backend == FLOAT:
+                value = rng.uniform(-1.0, 1.0) or 1.0
             else:
-                blades = itertools.combinations(range(sig.n), r)
-            for combo in blades:
-                if backend == FLOAT:
-                    value = rng.uniform(-1.0, 1.0) or 1.0
-                else:
-                    value = rng.choice((-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9))
-                mask = 0
-                for b in combo:
-                    mask |= 1 << b
-                pair = terms.setdefault(mask, [zero, zero])
-                pair[1 if imag else 0] += value
+                # the draw rng.choice makes: 5 random bits, redrawn while past 17
+                index = getrandbits(5)
+                while index >= 18:
+                    index = getrandbits(5)
+                value = _DRAWN_COEFFICIENTS[index]
+            pair = terms.setdefault(mask, [zero, zero])
+            pair[1 if imag else 0] += value
     tmap = {m: (re, im) for m, (re, im) in terms.items() if re != 0 or im != 0}
     return Multivector._raw(sig, tset.field, backend, tmap)
 

@@ -286,14 +286,19 @@ def test_bracket_examples():
     assert commutator(mv("e12", 3, 0), mv("e13", 3, 0)) == mv("-2*e23", 3, 0)
 
 
+# One signature past TABLE_MAX_N, so the sign-mask path runs too.
+MASK_PATH_SIG = (4, algebra.TABLE_MAX_N - 3)
+
+
 def test_products_refuse_more_than_the_pair_bound(monkeypatch):
-    u = mv("1 + e1 + e2", 2, 0)
-    v = mv("e1 + e12", 2, 0)
     monkeypatch.setattr(algebra, "MAX_PRODUCT_PAIRS", 5)
-    for op in (lambda a, b: a * b, commutator, anticommutator):
-        with pytest.raises(AlgebraError, match="more than 5 term pairs"):
-            op(u, v)
-    assert (v * v).is_zero()  # 4 pairs stay within the bound
+    for p, q in ((2, 0), MASK_PATH_SIG):
+        u = mv("1 + e1 + e2", p, q)
+        v = mv("e1 + e12", p, q)
+        for op in (lambda a, b: a * b, commutator, anticommutator):
+            with pytest.raises(AlgebraError, match="more than 5 term pairs"):
+                op(u, v)
+        assert (v * v).is_zero()  # 4 pairs stay within the bound
 
 
 def test_bracket_reconstructs_product(rng):
@@ -308,7 +313,7 @@ ALL_SIGNATURES_N6 = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-@pytest.mark.parametrize("p,q", ALL_SIGNATURES_N6)
+@pytest.mark.parametrize("p,q", ALL_SIGNATURES_N6 + [MASK_PATH_SIG])
 def test_brackets_equal_two_products_exactly(p, q, field, rng):
     sig = Signature(p, q)
     for _ in range(6):
@@ -323,7 +328,7 @@ def test_brackets_equal_two_products_exactly(p, q, field, rng):
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_float_brackets_match_two_products(field, rng):
-    for p, q in ((3, 0), (2, 2), (4, 2), (0, 5)):
+    for p, q in ((3, 0), (2, 2), (4, 2), (0, 5), MASK_PATH_SIG):
         sig = Signature(p, q)
         for _ in range(10):
             u = random_mv(sig, rng, field, FLOAT, max_terms=16)
@@ -337,6 +342,26 @@ def test_float_brackets_match_two_products(field, rng):
                 if field == REAL:
                     for _, (_, im) in fused.terms():
                         assert im == 0.0 and math.copysign(1.0, im) == 1.0
+
+
+def test_blade_tables_match_naive_products():
+    # every entry of every table: s(A, B) for the product, 2 s(A, B) on the
+    # anticommuting pairs for [,] and on the commuting pairs for {,}, else 0
+    for p, q in [(p, n - p) for n in range(1, algebra.TABLE_MAX_N + 1) for p in range(n + 1)]:
+        sig = Signature(p, q)
+        size = 1 << sig.n
+        naive = [[naive_blade_product(a, b, sig) for b in range(size)] for a in range(size)]
+        product = algebra._blade_table(p, sig.n, None)
+        comm = algebra._blade_table(p, sig.n, 1)
+        acomm = algebra._blade_table(p, sig.n, 0)
+        for a in range(size):
+            for b in range(size):
+                s_ab, out = naive[a][b]
+                assert out == a ^ b
+                commute = s_ab == naive[b][a][0]
+                assert product[a][b] == s_ab, (p, q, a, b)
+                assert comm[a][b] == (0 if commute else 2 * s_ab), (p, q, a, b)
+                assert acomm[a][b] == (2 * s_ab if commute else 0), (p, q, a, b)
 
 
 def test_swap_mask_matches_naive_commutation():

@@ -106,6 +106,20 @@ def test_negative_and_imaginary_factors_round_trip(coef):
     assert format_expr(Add((y, Scale((-3, 0), x)))) == "y - 3*x"
 
 
+def test_deepest_trees_compare_without_recursion():
+    # 99 nestings build a tree about 300 levels deep
+    deep = parse_program("let x:1; " + "rev(x + x*" * 99 + "x" + ")" * 99)[1]
+    other = parse_program("let x:1; " + "rev(x + x*" * 99 + "y" + ")" * 99)[1]
+    assert deep == parse_program(format_expr(deep))[1]
+    assert hash(deep) == hash(parse_program(format_expr(deep))[1])
+    assert deep != other
+    x = Sym("x")
+    assert Scale((2, 0), x) != Scale((3, 0), x)
+    assert Bracket(1, x, x) != Bracket(-1, x, x)
+    assert Conj("rev", x) != Conj("gri", x)
+    assert Add((x, x)) != Add((x, x, x))
+
+
 def test_undeclared_symbols_default_to_full():
     env, _ = parse_program("x * rev(y)")
     assert env.types == {"x": TypeSet.full(REAL), "y": TypeSet.full(REAL)}
