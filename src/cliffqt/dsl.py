@@ -33,13 +33,18 @@ Type inference runs two passes.  The compositional pass folds the closure
 tables over the tree.  The refinement pass builds the expression's normal
 form once: a polynomial whose words are products of conjugated symbols,
 with conjugations pushed down to the symbols and brackets expanded
-(``[a, b] = ab - ba``, ``{a, b} = ab + ba``).  The form under each
-conjugation of the field is that form relabelled: each word reversed under
-an anti-automorphism, the conjugation's bits flipped at every symbol, and
-the coefficients conjugated under an antilinear one.  Whenever the
-relabelled form equals the form or its negation, the type is intersected
-with the matching +-1 eigenspace.  That second pass is what recovers the
-U*rev(U)-style identities that no per-node rule can see.
+(``[a, b] = ab - ba``, ``{a, b} = ab + ba``).  A conjugation maps each
+word to one relabelled word: reversed under an anti-automorphism, with the
+conjugation's bits flipped at every symbol, and with the coefficient
+conjugated under an antilinear one.  For each conjugation of the field the
+pass relabels the form's first word and looks it up in the form; the
+coefficient found there fixes the one sign, +1 or -1, that the conjugation
+can have on the whole form, or rules both out.  The other words are then
+relabelled one at a time, and the test stops at the first one whose
+coefficient does not match.  When every word matches, the type is
+intersected with that sign's eigenspace.  No conjugated copy of the form is
+built.  That second pass is what recovers the U*rev(U)-style identities
+that no per-node rule can see.
 """
 
 from __future__ import annotations
@@ -462,7 +467,8 @@ def format_program(env: TypeEnv, expr: Expr) -> str:
 # factors in product order.  Brackets are expanded, [a, b] = ab - ba and
 # {a, b} = ab + ba, so two forms are equal exactly when the expressions agree
 # in the free algebra.  A conjugation acts on a form by relabelling its words
-# (see _conjugate), so one tree walk gives the form under every conjugation.
+# (see _conjugate), so one tree walk gives the form under every conjugation,
+# and _eigen_sign compares a form with its image word by word.
 
 _ONE = (1, 0)
 _MINUS_ONE = (-1, 0)
@@ -607,14 +613,38 @@ def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
     if not base:
         # the normal form cancelled everything: the value is identically zero
         return TypeSet.empty(env.field)
-    neg = _poly_scale(base, _MINUS_ONE)
     for bits in conjugation_codes(env.field):
-        image = _conjugate(base, bits)
-        if image == base:
-            result = result & eigenspace(bits, 1, env.field)
-        elif image == neg:
-            result = result & eigenspace(bits, -1, env.field)
+        sign = _eigen_sign(base, bits)
+        if sign:
+            result = result & eigenspace(bits, sign, env.field)
     return result
+
+
+def _eigen_sign(poly: dict, bits: int) -> int:
+    """+1 or -1 when conjugation ``bits`` maps the nonzero form poly to
+    +-itself, else 0: the test ``_conjugate(poly, bits) == +-poly`` without
+    building the image.
+
+    The image of the first word fixes the only sign that can hold, and the
+    walk stops at the first word whose image does not carry the matching
+    coefficient.  Relabelling is one to one on words, so when every word's
+    image is in poly, the images are exactly poly's words.
+    """
+    step = -1 if bits & _REV else 1  # an anti-automorphism reverses products
+    flip = -1 if bits & _CCONJ else 1  # an antilinear one conjugates scalars
+    sign = 0
+    for word, (re, im) in poly.items():
+        found = poly.get(tuple([(name, b ^ bits) for name, b in word[::step]]))
+        if sign:
+            if found != (sign * re, flip * im):
+                return 0
+        elif found == (re, flip * im):
+            sign = 1
+        elif found == (-re, -flip * im):
+            sign, flip = -1, -flip
+        else:
+            return 0
+    return sign
 
 
 # ------------------------------------------------------------------ evaluation
@@ -635,20 +665,26 @@ def eval_expr(expr: Expr, env: TypeEnv, bindings: dict) -> Multivector:
     return _eval(expr, bindings)
 
 
-def _eval(expr: Expr, bindings: dict) -> Multivector:
+def _eval(expr: Expr, bindings: dict, peaks: list | None = None) -> Multivector:
+    """Value of expr; when peaks is a list, each node's largest coefficient
+    is appended to it."""
     if isinstance(expr, Sym):
-        return bindings[expr.name]
-    if isinstance(expr, Conj):
-        return apply_conjugation(_eval(expr.child, bindings), expr.op)
-    if isinstance(expr, Scale):
-        return _eval(expr.child, bindings).scale(expr.coef)
-    if isinstance(expr, (Add, Prod)):
-        values = [_eval(term, bindings) for term in expr.terms]
-        return functools.reduce(operator.add if isinstance(expr, Add) else operator.mul, values)
-    if isinstance(expr, Bracket):
+        out = bindings[expr.name]
+    elif isinstance(expr, Conj):
+        out = apply_conjugation(_eval(expr.child, bindings, peaks), expr.op)
+    elif isinstance(expr, Scale):
+        out = _eval(expr.child, bindings, peaks).scale(expr.coef)
+    elif isinstance(expr, (Add, Prod)):
+        values = [_eval(term, bindings, peaks) for term in expr.terms]
+        out = functools.reduce(operator.add if isinstance(expr, Add) else operator.mul, values)
+    elif isinstance(expr, Bracket):
         bracket = commutator if expr.sign < 0 else anticommutator
-        return bracket(_eval(expr.left, bindings), _eval(expr.right, bindings))
-    raise TypeError(f"not an Expr: {expr!r}")
+        out = bracket(_eval(expr.left, bindings, peaks), _eval(expr.right, bindings, peaks))
+    else:
+        raise TypeError(f"not an Expr: {expr!r}")
+    if peaks is not None:
+        peaks.append(out.max_abs())
+    return out
 
 
 # ------------------------------------------------------------------ random instances
@@ -757,7 +793,9 @@ def random_instance(
         )
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    terms: dict[int, list] = {}
+    # no drawn coefficient is zero and a blade lies in one main type, so a
+    # term is written once, or twice when its real atom k came before ik
+    terms: dict[int, tuple] = {}
     zero = 0.0 if backend == FLOAT else 0
     n = sig.n
     for k, imag in tset.atoms():
@@ -776,10 +814,11 @@ def random_instance(
                 while index >= 18:
                     index = getrandbits(5)
                 value = _DRAWN_COEFFICIENTS[index]
-            pair = terms.setdefault(mask, [zero, zero])
-            pair[1 if imag else 0] += value
-    tmap = {m: (re, im) for m, (re, im) in terms.items() if re != 0 or im != 0}
-    return Multivector._raw(sig, tset.field, backend, tmap)
+            if imag:
+                terms[mask] = (terms.get(mask, (zero,))[0], value)
+            else:
+                terms[mask] = (value, zero)
+    return Multivector._raw(sig, tset.field, backend, terms)
 
 
 # ------------------------------------------------------------------ soundness checking
@@ -839,7 +878,10 @@ def check_soundness(
     """Instantiate symbols randomly and test membership in the inferred type.
 
     Failures are reported, not raised; the first one records the trial seed
-    and the exact bindings.
+    and the exact bindings.  On the float backend the tolerance is relative
+    to the largest coefficient of any binding or intermediate value, so a
+    value that cancels to rounding residue is judged against the magnitude
+    it cancelled from.
     """
     if trials < 1:
         raise AlgebraError(f"trials must be >= 1, got {trials}")
@@ -853,8 +895,9 @@ def check_soundness(
             name: random_instance(env.lookup(name), sig, tseed * 131 + j, density, backend)
             for j, name in enumerate(names)
         }
-        result = _eval(expr, bindings)
-        if not member(result, inferred, tol):
+        peaks = [] if backend == FLOAT else None
+        result = _eval(expr, bindings, peaks)
+        if not member(result, inferred, tol, max(peaks) if peaks else None):
             failures += 1
             if first is None:
                 first = {

@@ -37,11 +37,15 @@ closure tables are closed forms in it: {U,V} of main types k1, k2 has type
 ``k1 ^ k2`` and [U,V] has type ``k1 ^ k2 ^ 2``; imaginary flags combine by
 XOR too.  :func:`table_witnesses` derives the tables from exhaustive blade
 arithmetic instead, and the import checks the XOR law against it at n=5, so
-a wrong law fails the import.
+a wrong law fails the import.  :func:`commutator_type` and
+:func:`anticommutator_type` read the table they are given for each pair of
+atom bitmasks once, and keep the result in a bounded memo keyed by that
+table and the two masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import (
@@ -177,12 +181,27 @@ _ACOMM_MAIN = tuple(tuple(k1 ^ k2 for k2 in range(4)) for k1 in range(4))
 
 def _pairwise_type(a: TypeSet, b: TypeSet, table) -> TypeSet:
     a._check(b)
+    return _pairwise_memo(table, a.field, a.bits, b.bits)
+
+
+# The set bits of every atom bitmask, in increasing order.
+_SET_BITS = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
+@functools.lru_cache(maxsize=4096)
+def _pairwise_memo(table, field: str, abits: int, bbits: int) -> TypeSet:
+    """Closure of the atom bitmasks abits and bbits under the table passed.
+
+    The memo holds every real pair of both tables (512 entries) with room for
+    the complex pairs a run meets; all 2 x 256 x 256 complex ones would not fit.
+    """
     bits = 0
-    for k1, i1 in a.atoms():
-        row = table[k1]
-        for k2, i2 in b.atoms():
-            bits |= _atom_bit(row[k2], i1 ^ i2)
-    return TypeSet(a.field, bits)
+    for i in _SET_BITS[abits]:
+        row = table[i & 3]
+        for j in _SET_BITS[bbits]:
+            # atom i or j is imaginary when its bit 2 is set; the flags XOR
+            bits |= 1 << (row[j & 3] + ((i ^ j) & 4))
+    return TypeSet(field, bits)
 
 
 def commutator_type(a: TypeSet, b: TypeSet) -> TypeSet:
@@ -266,6 +285,7 @@ def conjugation_action(op, field: str = REAL) -> tuple[int, ...]:
     return tuple(_atom_sign(bits, i & 3, i >= 4) for i in range(count))
 
 
+@functools.lru_cache(maxsize=256)
 def eigenspace(op, sign: int, field: str = REAL) -> TypeSet:
     """Atoms on which the conjugation acts as the given sign (+1 or -1)."""
     if sign not in (1, -1):
@@ -378,18 +398,20 @@ def classify_by_conjugation(u: Multivector, tol=None) -> TypeSet:
     return TypeSet(u.field, bits)
 
 
-def member(u: Multivector, tset: TypeSet, tol=None) -> bool:
+def member(u: Multivector, tset: TypeSet, tol=None, scale=None) -> bool:
     """True when u lies in the subspace the TypeSet denotes.
 
     Exact backend: strict (no component outside the set).  Float backend:
-    components outside the set must stay below tol times the largest
-    coefficient of u (default FLOAT_TOL).
+    components outside the set must stay below tol (default FLOAT_TOL) times
+    scale, a magnitude the computation of u passed through; the default is
+    the largest coefficient of u, which is too small when u is the rounding
+    residue of a cancellation.
     """
     if u.field != tset.field:
         raise AlgebraError(f"field mismatch: {u.field} vs {tset.field}")
     if tol is None and u.backend == FLOAT:
         tol = FLOAT_TOL
-    threshold = 0 if tol is None else tol * u.max_abs()
+    threshold = 0 if tol is None else tol * (u.max_abs() if scale is None else scale)
     for mask, (re, im) in u._terms.items():
         k = mask.bit_count() & 3
         if not tset.bits >> k & 1 and abs(re) > threshold:

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cliffqt import COMPLEX, EXACT, REAL, Multivector
+from cliffqt import COMPLEX, EXACT, REAL, Multivector, TypeSet, eigenspace
+from cliffqt.dsl import _conjugate, _infer_compositional, _TooManyMonomials, canonical_form
+from cliffqt.qtype import conjugation_codes
 
 settings.register_profile(
     "ci",
@@ -30,6 +32,34 @@ def random_mv(sig, rng, field=REAL, backend=EXACT, max_terms=None):
             im = rng.uniform(-1, 1) if field == COMPLEX else 0.0
         terms[mask] = (re, im)
     return Multivector(sig, terms, field, backend)
+
+
+def reference_sign(form, bits):
+    """+1 or -1 when conjugation bits maps the normal form to +-itself, else 0,
+    read off a fully built conjugated copy of the form."""
+    image = _conjugate(form, bits)
+    if image == form:
+        return 1
+    if image == {word: (-re, -im) for word, (re, im) in form.items()}:
+        return -1
+    return 0
+
+
+def relabel_and_compare_type(expr, env):
+    """Reference inference: the compositional type, cut down to an eigenspace
+    of every conjugation whose copy of the normal form is +-the form."""
+    result = _infer_compositional(expr, env)
+    try:
+        form = canonical_form(expr)
+    except _TooManyMonomials:
+        return result
+    if not form:
+        return TypeSet.empty(env.field)
+    for bits in conjugation_codes(env.field):
+        sign = reference_sign(form, bits)
+        if sign:
+            result = result & eigenspace(bits, sign, env.field)
+    return result
 
 
 @pytest.fixture

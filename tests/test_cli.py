@@ -99,6 +99,15 @@ def test_check_pass_and_exit_codes(capsys):
     assert "failures: 0" in out
 
 
+def test_float_check_of_a_value_that_cancels_passes(capsys):
+    # [x, x] is rounding residue on the float backend; the type is ∅
+    code, out, _ = run(
+        capsys, "check", "--backend", "float", "--sig", "3,3", "--trials", "5", "let x:0123; [x, x]"
+    )
+    assert code == 0
+    assert "inferred: ∅" in out and "failures: 0" in out
+
+
 def test_check_trials_zero_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--sig", "2,2", "--trials", "0", "x")
     assert code == 2

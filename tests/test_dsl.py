@@ -38,12 +38,16 @@ from cliffqt.dsl import (
     Prod,
     Scale,
     Sym,
+    _eigen_sign,
     _infer_compositional,
     _unrank_subset,
     canonical_form,
     free_symbols,
+    trial_seed,
 )
 from cliffqt.mvtext import format_mv
+from cliffqt.qtype import conjugation_codes, member
+from conftest import reference_sign, relabel_and_compare_type
 
 
 def ts(text, field=REAL):
@@ -241,6 +245,7 @@ def test_format_program_roundtrip_corpus():
         ("i*x + i*conj(x)", COMPLEX, "i0123"),  # conj negates i
         ("let x:∅; x", REAL, "∅"),
         ("let x:0set; let y:2; [x, y]", REAL, "∅"),
+        ("x*rev(x) + x*x", REAL, "0123"),  # rev fixes the first word only
     ],
 )
 def test_infer_examples(program, field, expected):
@@ -254,6 +259,19 @@ def test_infer_matches_corpus_expectations():
             continue
         env, expr = parse_program(entry.program, entry.field)
         assert infer_type(expr, env) == ts(entry.expected, entry.field), entry.name
+
+
+def test_infer_matches_the_relabel_and_compare_reference_on_corpus():
+    signs = Counter()
+    for entry in CORPUS:
+        env, expr = parse_program(entry.program, entry.field)
+        assert infer_type(expr, env) == relabel_and_compare_type(expr, env), entry.name
+        form = canonical_form(expr)
+        for bits in conjugation_codes(entry.field) if form else ():
+            sign = _eigen_sign(form, bits)
+            assert sign == reference_sign(form, bits), (entry.name, bits)
+            signs[sign] += 1
+    assert all(signs[s] for s in (-1, 0, 1))
 
 
 def test_infer_monotone_under_env_enlargement(rng):
@@ -524,6 +542,23 @@ def test_check_soundness_float_backend():
         expr, env, Signature(2, 2), trials=50, seed=1, backend=FLOAT, tol=1e-9
     )
     assert report.passed
+
+
+def test_float_check_judges_a_cancellation_by_what_it_cancelled_from(monkeypatch):
+    env, expr = parse_program("let x:0123; [x, x]")
+    sig = Signature(3, 3)
+    report = check_soundness(expr, env, sig, trials=5, backend=FLOAT)
+    assert report.inferred.is_empty and report.passed
+    # the value is rounding residue, never below a fraction of itself
+    x = random_instance(env.types["x"], sig, trial_seed(0, 0) * 131, backend=FLOAT)
+    residue = eval_expr(expr, env, {"x": x})
+    assert 0 < residue.max_abs() < 1e-12 and not member(residue, report.inferred)
+    # a wrong table entry still fails every float trial
+    bad = ((2, 3, 0, 1), (3, 0, 1, 0), (0, 1, 2, 3), (1, 0, 3, 2))
+    monkeypatch.setattr(qtype, "_COMM_MAIN", bad)
+    env, expr = parse_program("let x:1; let y:1; [x,y]")
+    report = check_soundness(expr, env, Signature(2, 2), trials=20, seed=11, backend=FLOAT)
+    assert report.failures == 20
 
 
 def test_report_text_contains_counterexample(monkeypatch):

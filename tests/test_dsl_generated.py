@@ -1,10 +1,12 @@
 """Properties of generated typed DSL programs: sound, no looser than the
-compositional type, and stable under format and parse."""
+compositional type, equal to the reference inference that builds every
+conjugated copy of the normal form, and stable under format and parse."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffqt import COMPLEX, REAL, Signature, TypeEnv, TypeSet, check_soundness, infer_type
+from conftest import relabel_and_compare_type
 from cliffqt.dsl import (
     Add,
     Bracket,
@@ -63,6 +65,7 @@ def test_generated_programs_are_sound_and_round_trip(program):
     env, expr = program
     inferred = infer_type(expr, env)
     assert inferred <= _infer_compositional(expr, env)
+    assert inferred == relabel_and_compare_type(expr, env)
     for sig in _SIGNATURES:
         report = check_soundness(expr, env, sig, trials=2)
         assert report.passed, report.format_text()

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -242,6 +244,53 @@ def test_tables_symmetric_in_arguments():
             a, b = TypeSet(REAL, b1), TypeSet(REAL, b2)
             assert commutator_type(a, b) == commutator_type(b, a)
             assert anticommutator_type(a, b) == anticommutator_type(b, a)
+
+
+def _per_atom_closures(table, field):
+    """Closure bits of every pair of atom bitmasks, as a list of rows: the union,
+    over the atoms of the left set, of that atom's closure with the right set,
+    itself the union over the right set's atoms of one table entry each, with
+    the XOR of the two imaginary flags."""
+    masks = range(TypeSet.full(field).bits + 1)
+    atoms = [TypeSet(field, m).atoms() for m in masks]
+    one_atom = {}
+    for k1 in range(4):
+        for i1 in (False, True):
+            row = one_atom[k1, i1] = []
+            for m in masks:
+                bits = 0
+                for k2, i2 in atoms[m]:
+                    bits |= 1 << (table[k1][k2] + (4 if i1 != i2 else 0))
+                row.append(bits)
+    out = []
+    for a in masks:
+        rows = [one_atom[atom] for atom in atoms[a]]
+        out.append([functools.reduce(operator.or_, (row[b] for row in rows), 0) for b in masks])
+    return out
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_closure_types_match_a_per_atom_loop_on_every_pair(field):
+    comm = _per_atom_closures(qtype._COMM_MAIN, field)
+    acomm = _per_atom_closures(qtype._ACOMM_MAIN, field)
+    sets = [TypeSet(field, m) for m in range(len(comm))]
+    for a in sets:
+        for b in sets:
+            c, ac = comm[a.bits][b.bits], acomm[a.bits][b.bits]
+            assert commutator_type(a, b).bits == c, (a, b)
+            assert anticommutator_type(a, b).bits == ac, (a, b)
+            assert product_type(a, b).bits == c | ac, (a, b)
+    assert commutator_type(sets[-1], sets[-1]).field == field
+
+
+def test_closure_types_read_the_table_they_are_given(monkeypatch):
+    x = ts("1")
+    healthy = commutator_type(x, x)
+    bad = ((2, 3, 0, 1), (3, 0, 1, 0), (0, 1, 2, 3), (1, 0, 3, 2))
+    monkeypatch.setattr(qtype, "_COMM_MAIN", bad)
+    assert commutator_type(x, x) == ts("0") != healthy
+    monkeypatch.undo()
+    assert commutator_type(x, x) == healthy == ts("2")
 
 
 def test_table_witnesses_reproduce_their_atom():
