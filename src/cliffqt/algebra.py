@@ -86,8 +86,8 @@ def blade_indices(mask: int) -> tuple[int, ...]:
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
     mask = 0
     for a in indices:
-        if not 1 <= a <= n:
-            raise AlgebraError(f"generator index {a} out of range 1..{n}")
+        if type(a) is not int or not 1 <= a <= n:
+            raise AlgebraError(f"generator index {a!r} out of range 1..{n}")
         bit = 1 << (a - 1)
         if mask & bit:
             raise AlgebraError(f"duplicate generator index {a} in blade")

@@ -9,8 +9,10 @@ Usage:
     cliffqt check --sig 2,2 --trials 200 'rev(x)*x'
     cliffqt selftest --max-n 5
 
-Global flags: --field real|complex, --backend exact|float, --seed N,
---trials N, --density X, --json.  CLIFFQT_SEED overrides the default seed.
+Options, each only on the commands that read it (any other is a usage
+error): --json on all; --field real|complex on mul, classify, project, infer,
+check; --backend exact|float and --sig P,Q on mul, classify, project, check;
+--seed N, --trials N, --density X on check (CLIFFQT_SEED sets its seed).
 
 Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
 """
@@ -56,45 +58,41 @@ def _emit(args, data, text) -> None:
     print(json.dumps(data(), sort_keys=True) if args.json else text())
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", choices=(REAL, COMPLEX), default=REAL)
-    common.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
-    common.add_argument("--seed", type=int, default=None,
-                        help="default 0, or CLIFFQT_SEED when set")
-    common.add_argument("--trials", type=int, default=100)
-    common.add_argument("--density", type=float, default=None)
-    common.add_argument("--json", action="store_true", help="structured output")
+_OPTIONS = {
+    "--field": dict(choices=(REAL, COMPLEX), default=REAL),
+    "--backend": dict(choices=(EXACT, FLOAT), default=EXACT),
+    "--sig": dict(type=_parse_sig, required=True, metavar="P,Q"),
+    "--seed": dict(type=int, default=None, help="default 0, or CLIFFQT_SEED when set"),
+    "--trials": dict(type=int, default=100),
+    "--density": dict(type=float, default=None),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cliffqt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mul", parents=[common], help="geometric product of two literals")
-    p.add_argument("--sig", type=_parse_sig, required=True, metavar="P,Q")
+    def command(name, text, *options):
+        """A subcommand with --json and only the options it reads."""
+        p = sub.add_parser(name, help=text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.add_argument("--json", action="store_true", help="structured output")
+        return p
+
+    concrete = ("--field", "--backend", "--sig")  # for commands that compute in Cl(p,q)
+    p = command("mul", "geometric product of two literals", *concrete)
     p.add_argument("lhs")
     p.add_argument("rhs")
-
-    p = sub.add_parser("classify", parents=[common], help="quaternion type of a literal")
-    p.add_argument("--sig", type=_parse_sig, required=True, metavar="P,Q")
-    p.add_argument("mv")
-
-    p = sub.add_parser("project", parents=[common], help="main-type component of a literal")
-    p.add_argument("--sig", type=_parse_sig, required=True, metavar="P,Q")
+    command("classify", "quaternion type of a literal", *concrete).add_argument("mv")
+    p = command("project", "main-type component of a literal", *concrete)
     p.add_argument("k", type=int, choices=(0, 1, 2, 3))
     p.add_argument("mv")
-
-    p = sub.add_parser("tables", parents=[common], help="print a closure table")
-    p.add_argument("op", choices=sorted(_TABLES))
-
-    p = sub.add_parser("infer", parents=[common], help="abstract type of a DSL program")
+    command("tables", "print a closure table").add_argument("op", choices=sorted(_TABLES))
+    command("infer", "abstract type of a DSL program", "--field").add_argument("program")
+    p = command("check", "randomized soundness check", *concrete, "--seed", "--trials", "--density")
     p.add_argument("program")
-
-    p = sub.add_parser("check", parents=[common], help="randomized soundness check")
-    p.add_argument("--sig", type=_parse_sig, required=True, metavar="P,Q")
-    p.add_argument("program")
-
-    p = sub.add_parser("selftest", parents=[common], help="oracle sweep and table derivation")
-    p.add_argument("--max-n", type=int, default=5)
+    command("selftest", "oracle sweep and table derivation").add_argument("--max-n", type=int, default=5)
     return parser
 
 
@@ -217,7 +215,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
+    if args.command == "check" and args.seed is None:
         text = os.environ.get("CLIFFQT_SEED", "0")
         try:
             args.seed = int(text)

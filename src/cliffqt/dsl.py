@@ -298,7 +298,8 @@ class _DslParser:
     def _expect(self, kind):
         tok = self._next()
         if tok[0] != kind:
-            self._fail(f"expected {kind!r}, got {tok[1]!r}", tok[2])
+            got = "end of input" if tok[0] == "EOF" else repr(tok[1])
+            self._fail(f"expected {kind!r}, got {got}", tok[2])
         return tok
 
     def _fail(self, msg, pos=None):
@@ -386,8 +387,10 @@ class _DslParser:
         kind, lexeme, pos = self._next()
         if kind == "IDENT":
             if lexeme in _CONJ_NAMES:
-                if lexeme in ("conj", "phc") and self.field != COMPLEX:
-                    self._fail(f"{lexeme!r} needs the complex field", pos)
+                try:
+                    conjugation_bits(lexeme, self.field)
+                except AlgebraError as exc:
+                    self._fail(str(exc), pos)
                 self._expect("(")
                 inner = self._expr()
                 self._expect(")")
@@ -407,7 +410,7 @@ class _DslParser:
             right = self._expr()
             self._expect("]" if kind == "[" else "}")
             return Bracket(-1 if kind == "[" else 1, left, right)
-        self._fail(f"unexpected token {lexeme!r}", pos)
+        self._fail("unexpected end of input" if kind == "EOF" else f"unexpected token {lexeme!r}", pos)
 
 
 def parse_program(text: str, field: str = REAL) -> tuple[TypeEnv, Expr]:

@@ -281,17 +281,29 @@ def _read_float(text) -> float:
         raise AlgebraError(f"bad coefficient {text!r:.40}: not a number") from None
 
 
+def _get(obj, key, where: str, kind=object):
+    """``obj[key]``, or an AlgebraError naming where, when obj has no key or no ``kind`` there."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise AlgebraError(f"malformed structured input: {where} has no {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise AlgebraError(f"malformed structured input: {key!r} of {where} is {value!r:.40}")
+    return value
+
+
 def mv_from_dict(data: dict) -> Multivector:
-    sig = Signature(data["signature"]["p"], data["signature"]["q"])
-    field = data["field"]
-    backend = data["backend"]
+    """Inverse of :func:`mv_to_dict`; a malformed structure is an AlgebraError."""
+    sig_data = _get(data, "signature", "the input")
+    sig = Signature(_get(sig_data, "p", "'signature'", int), _get(sig_data, "q", "'signature'", int))
+    field, backend = (_get(data, key, "the input") for key in ("field", "backend"))
     terms = {}
     read = _read_exact if backend == EXACT else _read_float
-    for entry in data["terms"]:
-        mask = mask_from_indices(entry["blade"], sig.n)
-        re = read(entry["re"])
-        im = read(entry["im"])
+    for k, entry in enumerate(_get(data, "terms", "the input", (list, tuple))):
+        where = f"term {k}"
+        blade = _get(entry, "blade", where, (list, tuple))
+        mask = mask_from_indices(blade, sig.n)
+        re, im = (read(_get(entry, key, where)) for key in ("re", "im"))
         if mask in terms:
-            raise AlgebraError(f"duplicate blade {entry['blade']} in structured input")
+            raise AlgebraError(f"duplicate blade {blade} in structured input")
         terms[mask] = (re, im)
     return Multivector(sig, terms, field, backend)

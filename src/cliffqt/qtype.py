@@ -22,12 +22,16 @@ griphc       +    -    -    +    -     +     +     -
 
 With the identity, the conjugations form a group G (3 of them over the
 reals, 7 over the complexes, composing by XOR of their bit codes), and each
-atom a is one of its characters chi_a, the column above.  The component of
-u in atom a is the group average ``P_a(u) = (1/|G|) sum_s chi_a(s) s(u)``.
-Every blade term (its real part, and its imaginary part) is an eigenvector
-of every conjugation at once, so P_a keeps exactly the parts whose signs
-under the generators rev, gri (and conj) are atom a's, and that is how it
-is computed: :func:`atom_components`, :func:`qtype_project` and
+atom a is one of its characters chi_a, the column above.  The table has one
+closed form: rev negates the atoms {2, 3, i2, i3} (mask 0xCC), gri negates
+{1, 3, i1, i3} (0xAA), conj negates {i0..i3} (0xF0), and a composite code c
+negates the XOR of its generators' masks, ``_NEGATES[c]``; so
+``chi_a(c) = (-1)^[bit a of _NEGATES[c]]``.  The component of u in atom a
+is the group average ``P_a(u) = (1/|G|) sum_s chi_a(s) s(u)``.  Every blade
+term (its real part, and its imaginary part) is an eigenvector of every
+conjugation at once, so P_a keeps exactly the parts that generator j of
+(gri, rev, conj) negates just when bit j of a is set, and that is how it is
+computed: :func:`atom_components`, :func:`qtype_project` and
 :func:`classify_by_conjugation` read each part's signs from the generator
 images, using the conjugations and never the ranks, which
 :func:`classify_by_rank` reads instead.
@@ -89,11 +93,7 @@ class TypeSet:
 
     def atoms(self) -> tuple[tuple[int, bool], ...]:
         """Atoms as (main type, imaginary) pairs, real atoms first."""
-        out = []
-        for i in range(8):
-            if self.bits >> i & 1:
-                out.append((i & 3, i >= 4))
-        return tuple(out)
+        return tuple((i & 3, i >= 4) for i in _SET_BITS[self.bits])
 
     @property
     def is_empty(self) -> bool:
@@ -246,15 +246,25 @@ def conjugation_codes(field: str) -> range:
     return range(1, 8) if field == COMPLEX else range(1, 4)
 
 
-def conjugation_bits(op) -> int:
-    """Canonical (rev, gri, conj) bit code of a conjugation name or code."""
+# Atom bitmask each conjugation code negates (the closed form above).
+_NEGATES = tuple(
+    (0xCC if c & _REV else 0) ^ (0xAA if c & _GRI else 0) ^ (0xF0 if c & _CCONJ else 0)
+    for c in range(8)
+)
+
+
+def conjugation_bits(op, field: str = COMPLEX) -> int:
+    """Canonical (rev, gri, conj) bit code of a conjugation name or code of the field."""
     if isinstance(op, int):
         if not 1 <= op <= 7:
             raise AlgebraError(f"bad conjugation code {op}")
-        return op
-    bits = _OP_ALIASES.get(op)
-    if bits is None:
-        raise AlgebraError(f"unknown conjugation {op!r}")
+        bits = op
+    else:
+        bits = _OP_ALIASES.get(op)
+        if bits is None:
+            raise AlgebraError(f"unknown conjugation {op!r}")
+    if bits & _CCONJ and field != COMPLEX:
+        raise AlgebraError(f"conjugation {CONJUGATIONS_COMPLEX[bits - 1]!r} needs the complex field")
     return bits
 
 
@@ -262,27 +272,13 @@ def conjugation_name(op) -> str:
     return CONJUGATIONS_COMPLEX[conjugation_bits(op) - 1]
 
 
-def _atom_sign(bits: int, k: int, imag: bool) -> int:
-    s = 1
-    if bits & _REV and k & 2:
-        s = -s
-    if bits & _GRI and k & 1:
-        s = -s
-    if bits & _CCONJ and imag:
-        s = -s
-    return s
-
-
 def conjugation_action(op, field: str = REAL) -> tuple[int, ...]:
     """Per-atom eigenvalue of a conjugation: 4 signs (real) or 8 (complex).
 
     Order: atoms 0,1,2,3 then i0,i1,i2,i3.
     """
-    bits = conjugation_bits(op)
-    if field == REAL and bits & _CCONJ:
-        raise AlgebraError(f"conjugation {conjugation_name(op)!r} needs the complex field")
-    count = 8 if field == COMPLEX else 4
-    return tuple(_atom_sign(bits, i & 3, i >= 4) for i in range(count))
+    neg = _NEGATES[conjugation_bits(op, field)]
+    return tuple(-1 if neg >> i & 1 else 1 for i in range(8 if field == COMPLEX else 4))
 
 
 @functools.lru_cache(maxsize=256)
@@ -290,19 +286,13 @@ def eigenspace(op, sign: int, field: str = REAL) -> TypeSet:
     """Atoms on which the conjugation acts as the given sign (+1 or -1)."""
     if sign not in (1, -1):
         raise AlgebraError(f"eigenvalue must be +1 or -1, got {sign}")
-    action = conjugation_action(op, field)
-    bits = 0
-    for i, s in enumerate(action):
-        if s == sign:
-            bits |= 1 << i
-    return TypeSet(field, bits)
+    neg = _NEGATES[conjugation_bits(op, field)]
+    return TypeSet(field, (neg if sign < 0 else ~neg) & TypeSet.full(field).bits)
 
 
 def apply_conjugation(u: Multivector, op) -> Multivector:
     """Apply a conjugation (any composition of rev, gri, conj) to a multivector."""
-    bits = conjugation_bits(op)
-    if bits & _CCONJ and u.field != COMPLEX:
-        raise AlgebraError(f"conjugation {conjugation_name(op)!r} needs the complex field")
+    bits = conjugation_bits(op, u.field)
     out = u
     if bits & _REV:
         out = out.reversion()
@@ -330,24 +320,21 @@ def classify_by_rank(u: Multivector) -> TypeSet:
 def _atom_parts(u: Multivector) -> list[dict]:
     """Term maps of u's atom components, entry a for atom a & 3 (imaginary when a >= 4).
 
-    Each part of a term is stored, with its own coefficient, in the one atom
-    whose eigenvalues (:func:`conjugation_action`) are its signs in the
-    images of u under the generators (:func:`apply_conjugation`).  A part
-    that is not +-itself in an image is an internal fault: RuntimeError.
+    Each part of a term is stored, with its own coefficient, in atom a where
+    bit j of a is set when the part is negated in the image of u under
+    generator j of (gri, rev, conj) (:func:`apply_conjugation`), which negates
+    exactly the atoms with bit j set.  A part that is not +-itself in an
+    image is an internal fault: RuntimeError.
     """
-    gens = (_REV, _GRI, _CCONJ) if u.field == COMPLEX else (_REV, _GRI)
-    actions = [conjugation_action(s, u.field) for s in gens]
-    order = 1 << len(gens)  # the number of atoms
-    # atom by sign pattern; bit j is set when generator j negates the atom
-    atom_of = {sum(1 << j for j, act in enumerate(actions) if act[a] < 0): a for a in range(order)}
+    gens = (_GRI, _REV, _CCONJ) if u.field == COMPLEX else (_GRI, _REV)
     images = [apply_conjugation(u, s)._terms for s in gens]
     zero = 0.0 if u.backend == FLOAT else 0
-    parts = [{} for _ in range(order)]
+    parts = [{} for _ in range(1 << len(gens))]
     for m, pair in u._terms.items():
         for part, x in enumerate(pair):
             if not x:
                 continue
-            key = 0
+            atom = 0
             for j, image in enumerate(images):
                 y = image.get(m, (None, None))[part]
                 if y != x:
@@ -357,8 +344,8 @@ def _atom_parts(u: Multivector) -> list[dict]:
                             f"{('real', 'imaginary')[part]} part {x} of blade {blade_indices(m)} "
                             f"to {'nothing' if y is None else y}, not +-{x}"
                         )
-                    key |= 1 << j
-            parts[atom_of[key]][m] = (zero, x) if part else (x, zero)
+                    atom |= 1 << j
+            parts[atom][m] = (zero, x) if part else (x, zero)
     return parts
 
 

@@ -290,6 +290,59 @@ def test_malformed_seed_env_is_usage_error(capsys, monkeypatch):
     assert run(capsys, "check", "--sig", "2,0", "--seed", "3", "x*rev(x)")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["classify", "tables", "infer"])
+def test_malformed_seed_env_is_read_only_by_check(capsys, monkeypatch, command):
+    monkeypatch.setenv("CLIFFQT_SEED", "abc")
+    argv = {"classify": ("--sig", "2,0", "e1"), "tables": ("comm",), "infer": ("x*rev(x)",)}
+    code, out, err = run(capsys, command, *argv[command])
+    assert code == 0 and out and not err
+
+
+# argv that each command accepts, and the options it does not read
+_VALID_ARGV = {
+    "mul": ("--sig", "2,0", "e1", "e2"),
+    "classify": ("--sig", "2,0", "e1"),
+    "project": ("--sig", "2,0", "1", "e1"),
+    "tables": ("comm",),
+    "infer": ("x",),
+    "check": ("--sig", "2,0", "--trials", "2", "x"),
+    "selftest": ("--max-n", "1"),
+}
+_UNREAD = {
+    "mul": ("--seed 1", "--trials 3", "--density 0.5"),
+    "classify": ("--seed 1", "--trials 3", "--density 0.5"),
+    "project": ("--seed 1", "--trials 3", "--density 0.5"),
+    "tables": ("--field complex", "--backend float", "--sig 2,0", "--seed 1", "--trials 3",
+               "--density 0.5"),
+    "infer": ("--backend float", "--sig 2,0", "--seed 1", "--trials 3", "--density 0.5"),
+    "check": ("--max-n 2",),
+    "selftest": ("--field complex", "--backend float", "--sig 2,0", "--seed 1", "--trials 3",
+                 "--density 0.5"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, options in _UNREAD.items() for option in options],
+)
+def test_each_command_refuses_the_options_it_does_not_read(capsys, command, option):
+    assert run(capsys, command, *_VALID_ARGV[command])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_VALID_ARGV[command], *option.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_settable_values_per_command():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    counts = {
+        name: sum(1 for a in p._actions if a.dest != "help") for name, p in sub.choices.items()
+    }
+    assert counts == {
+        "mul": 6, "classify": 5, "project": 6, "tables": 2, "infer": 3, "check": 8, "selftest": 2,
+    }
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--sig", "oops", "e1", "e1"])

@@ -132,10 +132,10 @@ def test_undeclared_symbols_default_to_full():
 
 
 def test_parse_complex_gates():
-    with pytest.raises(ParseError, match="complex"):
-        parse_program("{x, conj(x)}")
-    with pytest.raises(ParseError, match="complex"):
-        parse_program("phc(x)")
+    for program, col in (("{x, conj(x)}", 5), ("phc(x)", 1), ("rev(phc(x))", 5)):
+        with pytest.raises(ParseError, match="needs the complex field") as info:
+            parse_program(program)
+        assert (info.value.line, info.value.col) == (1, col)
     with pytest.raises(ParseError, match="complex"):
         parse_program("i*x")
     with pytest.raises(ParseError, match="complex"):
@@ -162,6 +162,22 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and (err.line, err.col) == (1, 5)
+
+
+@pytest.mark.parametrize(
+    "program, message, col",
+    [
+        ("(x", "expected ')', got end of input", 3),
+        ("x+", "unexpected end of input", 3),
+        ("let x:1", "expected ';', got end of input", 8),
+        ("[x, y", "expected ']', got end of input", 6),
+    ],
+)
+def test_the_end_of_input_is_named_in_errors(program, message, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(program)
+    assert message in str(info.value) and "None" not in str(info.value)
+    assert (info.value.line, info.value.col) == (1, col)
 
 
 @pytest.mark.parametrize(

@@ -295,6 +295,46 @@ def test_json_structured_form():
     assert mv_from_dict(data) == u
 
 
+def _spoil(path, value):
+    """The structured form of 1 + 2*e12 with the entry at path set to value (None: removed)."""
+    data = mv_to_dict(parse_mv("1 + 2*e12", Signature(2, 0)))
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    if value is None and last != "terms":
+        del target[last]
+    else:
+        target[last] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("signature",), None, "'signature'"),
+        (("terms", 1, "re"), None, "term 1 has no 're'"),
+        (("terms", 0, "blade"), None, "term 0 has no 'blade'"),
+        (("terms", 1, "blade"), 3, "'blade' of term 1"),
+        (("signature", "p"), "2", "'p' of 'signature'"),
+        (("terms",), None, "'terms' of the input"),
+        (("terms", 0), "e1", "term 0 has no 'blade'"),
+        (("terms", 1, "blade"), ["1", "2"], "generator index '1'"),
+    ],
+    ids=["no-signature", "no-re", "no-blade", "int-blade", "str-p", "terms-none", "str-term",
+         "str-index"],
+)
+def test_malformed_structure_is_an_algebra_error(path, value, named):
+    with pytest.raises(AlgebraError) as info:
+        mv_from_dict(_spoil(path, value))
+    assert named in str(info.value)
+
+
+def test_empty_structure_is_an_algebra_error():
+    with pytest.raises(AlgebraError, match="no 'signature'"):
+        mv_from_dict({})
+
+
 def test_json_roundtrip_random(rng):
     for _ in range(30):
         sig = Signature(2, 2)
