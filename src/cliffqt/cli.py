@@ -68,8 +68,21 @@ _OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a single-dash token that is none of its options (``-x``, ``-e1``) as a positional.
+
+    Relies on argparse's private ``_parse_optional`` reading a None result as
+    "positional", as Python 3.10 to 3.13 do; tests/test_cli.py pins it.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[1:2] != "-" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cliffqt", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="cliffqt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, text, *options):

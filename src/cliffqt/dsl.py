@@ -703,21 +703,24 @@ def default_density(n: int) -> float:
     return 1.0 if n <= 10 else 0.002
 
 
-def _unrank_subset(index: int, n: int, r: int) -> list[int]:
-    """The r-subset of range(n) at position ``index`` in colex order, largest first.
+def _unrank_subset(index: int, n: int, r: int) -> int:
+    """Mask of the r-subset of range(n) at position ``index`` in colex order.
 
     Combinatorial number system: ``index = C(c_r, r) + ... + C(c_1, 1)`` with
-    ``n > c_r > ... > c_1 >= 0``, each ``c_j`` the largest that fits.
+    ``n > c_r > ... > c_1 >= 0``, each ``c_j`` the largest that fits: bit ``c_j`` of the mask.
     """
-    out = []
+    comb = math.comb
+    mask = 0
     c = n
     for j in range(r, 0, -1):
         c -= 1
-        while math.comb(c, j) > index:
+        size = comb(c, j)
+        while size > index:
             c -= 1
-        index -= math.comb(c, j)
-        out.append(c)
-    return out
+            size = comb(c, j)
+        index -= size
+        mask |= 1 << c
+    return mask
 
 
 # The exact backend draws each coefficient uniformly from these 18 values.
@@ -741,28 +744,21 @@ def _dense_masks(n: int, k: int) -> tuple:
 
 
 def _sparse_masks(rng: random.Random, n: int, k: int, density: float):
-    """Masks of the rank-k-mod-4 blades, each kept with probability density."""
-    for r in range(k, n + 1, 4):
-        for combo in _skip_sample(rng, n, r, density):
-            yield sum(1 << b for b in combo)
+    """Masks of the rank-k-mod-4 blades, each kept independently with probability density.
 
-
-def _skip_sample(rng: random.Random, n: int, r: int, density: float):
-    """Yield each r-subset of range(n) independently with probability density.
-
-    Walks the subsets' colex ranks in geometric gaps, P(gap >= g) =
-    (1 - density)^g, so the work is proportional to the subsets kept, not to
-    C(n, r).
+    Walks each rank r's colex positions in geometric gaps, P(gap >= g) = (1 - density)^g,
+    so the work is proportional to the blades kept, not to C(n, r).
     """
     log_miss = math.log1p(-density)
-    last = math.comb(n, r) - 1
-    index = -1
-    while True:
-        gap = math.log(1.0 - rng.random()) / log_miss
-        if gap >= last - index:  # floor(gap) reaches past the last rank
-            return
-        index += 1 + int(gap)
-        yield _unrank_subset(index, n, r)
+    for r in range(k, n + 1, 4):
+        last = math.comb(n, r) - 1
+        index = -1
+        while True:
+            gap = math.log(1.0 - rng.random()) / log_miss
+            if gap >= last - index:  # floor(gap) reaches past the last position
+                break
+            index += 1 + int(gap)
+            yield _unrank_subset(index, n, r)
 
 
 def random_instance(

@@ -392,10 +392,16 @@ def member(u: Multivector, tset: TypeSet, tol=None, scale=None) -> bool:
     components outside the set must stay below tol (default FLOAT_TOL) times
     scale, a magnitude the computation of u passed through; the default is
     the largest coefficient of u, which is too small when u is the rounding
-    residue of a cancellation.
+    residue of a cancellation.  u is a member for every tol when the set holds
+    all atoms (real, and imaginary over the complexes) of each of u's rank
+    classes; only otherwise are the terms compared one by one.
     """
     if u.field != tset.field:
         raise AlgebraError(f"field mismatch: {u.field} vs {tset.field}")
+    held = tset.bits & tset.bits >> 4 if u.field == COMPLEX else tset.bits  # real terms: im == 0
+    ranks = set(map(int.bit_count, u._terms))  # at most n+1
+    if not sum({1 << (r & 3) for r in ranks}) & ~held:
+        return True
     if tol is None and u.backend == FLOAT:
         tol = FLOAT_TOL
     threshold = 0 if tol is None else tol * (u.max_abs() if scale is None else scale)

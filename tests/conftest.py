@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cliffqt import COMPLEX, EXACT, REAL, Multivector, TypeSet, eigenspace
+from cliffqt import COMPLEX, EXACT, FLOAT, REAL, Multivector, TypeSet, eigenspace
+from cliffqt.algebra import FLOAT_TOL
 from cliffqt.dsl import _conjugate, _infer_compositional, _TooManyMonomials, canonical_form
 from cliffqt.qtype import conjugation_codes
 
@@ -60,6 +61,33 @@ def relabel_and_compare_type(expr, env):
         if sign:
             result = result & eigenspace(bits, sign, env.field)
     return result
+
+
+def reference_member(u, tset, tol=None, scale=None):
+    """Reference membership: every term's parts compared with the threshold
+    one by one, against the atoms of the term's rank."""
+    if tol is None and u.backend == FLOAT:
+        tol = FLOAT_TOL
+    threshold = 0 if tol is None else tol * (u.max_abs() if scale is None else scale)
+    for mask, (re, im) in u._terms.items():
+        k = mask.bit_count() & 3
+        if not tset.bits >> k & 1 and abs(re) > threshold:
+            return False
+        if not tset.bits >> (4 + k) & 1 and abs(im) > threshold:
+            return False
+    return True
+
+
+def reference_classify_by_rank(u):
+    """Reference classification: the atoms of every nonzero part of every term."""
+    bits = 0
+    for mask, (re, im) in u._terms.items():
+        k = mask.bit_count() & 3
+        if re != 0:
+            bits |= 1 << k
+        if im != 0:
+            bits |= 1 << (4 + k)
+    return TypeSet(u.field, bits)
 
 
 @pytest.fixture

@@ -333,6 +333,29 @@ def test_each_command_refuses_the_options_it_does_not_read(capsys, command, opti
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_a_leading_dash_program_or_literal_is_a_positional(capsys):
+    assert run(capsys, "infer", "-x") == (0, "0123\n", "")
+    code, out, err = run(capsys, "infer", "--json", "-x")
+    assert code == 0 and json.loads(out)["program"] == "-x"
+    assert run(capsys, "classify", "--sig", "2,0", "-e1") == (0, "1\n  1: -e1\n", "")
+    assert run(capsys, "mul", "--sig", "2,0", "-e1", "-e12")[:2] == (0, "e2\n")
+    assert run(capsys, "project", "--sig", "2,0", "1", "-e1")[:2] == (0, "-e1\n")
+
+
+def test_options_keep_their_dash_values_and_help(capsys):
+    # a negative seed is still the value of --seed, not the program
+    code, out, _ = run(capsys, "check", "--sig", "2,0", "--trials", "2", "--seed", "-5", "--json", "x")
+    assert code == 0 and json.loads(out)["first_counterexample"] is None
+    args = cli._build_parser().parse_args(["check", "--sig", "2,0", "--seed", "-5", "x"])
+    assert (args.seed, args.program) == (-5, "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "-h"])
+    assert exc.value.code == 0 and "usage: cliffqt infer" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "-x", "--seed", "1"])
+    assert exc.value.code == 2 and "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_settable_values_per_command():
     sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
     counts = {

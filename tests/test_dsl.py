@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -477,12 +478,61 @@ def test_random_instance_density_one_stream_is_pinned():
     assert format_mv(u) == "-5 - 7*e1 - e2 - 6*e3 + 7*e12 + 6*e13 + 7*e23 + 4*e123"
 
 
+def test_random_instance_sparse_stream_is_pinned():
+    # below density 1 the stream is pinned too, so old counterexample seeds replay
+    u = random_instance(ts("2"), Signature(20, 0), 5, 0.0001)
+    assert format_mv(u) == (
+        "8*e{1,5,8,12,13,18} + 6*e{1,6,8,10,14,18} - 2*e{4,5,8,12,14,20} "
+        "- 6*e{3,4,5,6,7,9,12,14,15,18} - 2*e{1,4,6,8,9,10,11,15,16,18} "
+        "- 6*e{1,3,4,5,8,9,12,14,17,18} - 9*e{4,6,7,8,9,11,15,16,17,18} "
+        "+ 5*e{3,4,6,7,11,12,14,15,16,19} + 4*e{2,3,5,6,7,11,13,14,17,19} "
+        "- 7*e{1,2,5,7,8,11,13,15,17,19} + 6*e{1,3,8,9,11,12,14,15,17,19} "
+        "- 9*e{3,4,5,7,8,10,12,16,17,19} - 9*e{2,3,4,5,8,9,10,13,16,20} "
+        "- 3*e{1,5,6,10,11,12,13,14,16,20} - 4*e{2,5,6,9,11,13,14,17,18,20} "
+        "+ e{1,4,6,9,12,14,15,16,19,20} - 3*e{1,2,5,10,11,13,14,17,19,20} "
+        "- 3*e{1,3,6,8,14,15,16,17,19,20} - 3*e{1,3,6,7,9,12,13,18,19,20} "
+        "+ e{2,3,4,5,6,7,8,10,11,12,15,17,19,20} + 5*e{1,2,3,6,8,9,10,11,12,13,15,17,19,20} "
+        "- 5*e{1,2,4,5,6,7,8,10,12,15,16,17,19,20} + 2*e{1,3,5,6,8,9,10,12,13,14,15,18,19,20} "
+        "- 9*e{2,3,4,5,6,7,8,9,12,14,17,18,19,20}"
+    )
+    u = random_instance(ts("1+i3", COMPLEX), Signature(9, 3), 9, 0.01)
+    assert format_mv(u) == (
+        "-6i*e{4,6,8} - 5*e{1,2,6,7,8} - 9*e{2,3,5,6,9} + 6*e{3,5,6,8,9} - 7*e{3,4,6,9,11} "
+        "- 8*e{1,2,3,10,11} - 4*e{1,3,6,8,12} + 6*e{1,5,8,10,12} - 2i*e{1,2,3,5,7,8,9} "
+        "+ 5i*e{1,2,4,5,6,9,11} - i*e{1,3,4,6,7,9,12} + 4i*e{1,3,4,7,9,11,12} "
+        "- 8i*e{3,4,6,8,9,11,12} - 9i*e{1,3,4,5,10,11,12} - 4*e{3,4,5,6,7,8,9,10,11} "
+        "- 6*e{1,2,4,5,6,8,9,10,12} - 7*e{1,4,5,6,7,8,9,10,12} "
+        "+ 4i*e{1,2,3,4,5,6,8,9,10,11,12}"
+    )
+
+
 def test_unrank_subset_is_a_bijection():
+    # position i in colex order is the i-th smallest mask with r bits below bit n
     for n in range(11):
         for r in range(n + 1):
-            subsets = [_unrank_subset(i, n, r) for i in range(math.comb(n, r))]
-            assert all(len(s) == r for s in subsets)
-            assert {tuple(sorted(s)) for s in subsets} == set(itertools.combinations(range(n), r))
+            masks = [_unrank_subset(i, n, r) for i in range(math.comb(n, r))]
+            combos = itertools.combinations(range(n), r)
+            assert masks == sorted(sum(1 << b for b in combo) for combo in combos)
+
+
+def _colex_rank(mask):
+    """Position of a mask among the masks of its bit count: sum of C(c_j, j)
+    over its set bits c_1 < c_2 < ..."""
+    bits = [c for c in range(mask.bit_length()) if mask >> c & 1]
+    return sum(math.comb(c, j) for j, c in enumerate(bits, start=1))
+
+
+def test_unrank_subset_inverts_the_colex_rank_at_large_n():
+    rng = random.Random(15)
+    for n in (20, 40):
+        for r in range(n + 1):
+            size = math.comb(n, r)
+            for index in {0, size - 1, *(rng.randrange(size) for _ in range(20))}:
+                mask = _unrank_subset(index, n, r)
+                assert mask.bit_count() == r and mask >> n == 0
+                assert _colex_rank(mask) == index
+            assert _unrank_subset(0, n, r) == (1 << r) - 1
+            assert _unrank_subset(size - 1, n, r) == ((1 << r) - 1) << (n - r)
 
 
 def test_sparse_sampling_keeps_each_eligible_blade_at_the_density():

@@ -33,7 +33,7 @@ from cliffqt import (
 
 from cliffqt import qtype
 from cliffqt.mvtext import format_mv
-from conftest import random_mv
+from conftest import random_mv, reference_classify_by_rank, reference_member
 
 
 def ts(text, field=REAL):
@@ -438,6 +438,54 @@ def test_member_float_tolerance():
     assert member(u, ts("1"))           # tiny rank-2 leakage is below tol
     assert not member(u, ts("2"))       # the rank-1 part is genuine
     assert not member(u, ts("1"), tol=1e-15)  # strict tol sees the leakage
+
+
+def _blade_of_class(n, k, rng):
+    """A random blade mask of rank k mod 4 among n generators (n >= 3)."""
+    return sum(1 << b for b in rng.sample(range(n), rng.choice(range(k, n + 1, 4))))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_member_and_classify_by_rank_match_the_per_term_reference(field, backend):
+    rng = random.Random(f"{field} {backend}")
+    width = TypeSet.full(field).bits
+    one = 1.0 if backend == FLOAT else 1
+    for n in range(3, 21):
+        sig = Signature(n - n // 3, n // 3)
+        for density in (1.0, 0.01) if n <= 10 else (0.01,):
+            drawn = TypeSet(field, rng.randrange(1, width + 1))
+            u = random_instance(drawn, sig, rng.randrange(1 << 30), density, backend)
+            values = [u]
+            outside = [k for k in range(4) if not drawn.bits >> k & 1]
+            if outside:
+                # a genuine term on a rank class the set leaves out fails
+                stray = u + Multivector(sig, {_blade_of_class(n, rng.choice(outside), rng): one},
+                                        field, backend)
+                assert not member(stray, drawn)
+                values.append(stray)
+                if backend == FLOAT and not u.is_zero():
+                    # rounding residue on it, below the tolerance, passes
+                    residue = 1e-3 * qtype.FLOAT_TOL * u.max_abs()
+                    m = _blade_of_class(n, rng.choice(outside), rng)
+                    leaky = u + Multivector(sig, {m: residue}, field, backend)
+                    assert member(leaky, drawn)
+                    values.append(leaky)
+            half = [k for k in range(4) if drawn.bits >> k & 1 and not drawn.bits >> (4 + k) & 1]
+            if field == COMPLEX and half:
+                # the real atom of the rank class is in the set, the imaginary one is not
+                m = _blade_of_class(n, rng.choice(half), rng)
+                imag = u + Multivector(sig, {m: (0, one)}, field, backend)
+                assert not member(imag, drawn)
+                values.append(imag)
+            sets = [drawn, TypeSet(field, drawn.bits & 0x0F), TypeSet.full(field),
+                    TypeSet.empty(field)] + [TypeSet(field, rng.randrange(width + 1)) for _ in range(4)]
+            for v in values:
+                assert classify_by_rank(v) == reference_classify_by_rank(v)
+                for tset in sets:
+                    for tol, scale in ((None, None), (1e-15, None), (0.5, None), (None, 10)):
+                        assert member(v, tset, tol, scale) == reference_member(v, tset, tol, scale), (
+                            n, density, format_mv(v)[:80], tset, tol, scale)
 
 
 # ---------------------------------------------------------------- structure facts
