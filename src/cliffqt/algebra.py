@@ -5,7 +5,8 @@ and the empty mask is the identity ``e``.  A multivector is a sparse map
 from blade mask to a coefficient pair ``(re, im)``.  On the exact backend
 coefficients are Python ints or :class:`fractions.Fraction`, so every
 algebraic identity holds with literal equality; on the float backend they
-are floats and approximate comparisons elsewhere use ``FLOAT_TOL``.
+are floats and approximate comparisons elsewhere use ``FLOAT_TOL``.  No term
+stored is zero: a float term that underflows to 0.0 (1e-200 * 1e-200) is dropped.
 
 Products and brackets take one of two paths, chosen by the number of
 generators n.  Up to ``TABLE_MAX_N`` (6) each term pair reads its factor
@@ -162,12 +163,13 @@ def _coerce_pair(value, field: str, backend: str) -> tuple:
     return re, im
 
 
-def _check_finite(tmap: dict) -> None:
-    """Refuse a float-backend result in which arithmetic overflowed to inf or nan."""
+def _check_finite(tmap: dict) -> dict:
+    """Refuse inf or nan in a float-backend term map; return it without its all-zero terms."""
     isfinite = math.isfinite
     for re, im in tmap.values():
         if not (isfinite(re) and isfinite(im)):
             raise AlgebraError("float backend overflow: a result coefficient is not finite")
+    return {m: c for m, c in tmap.items() if c[0] or c[1]}
 
 
 class Multivector:
@@ -304,7 +306,7 @@ class Multivector:
                 else:
                     out[m] = (re, im)
         if self.backend == FLOAT:
-            _check_finite(out)
+            out = _check_finite(out)
         return Multivector._raw(self.sig, self.field, self.backend, out)
 
     def __sub__(self, other):
@@ -329,7 +331,7 @@ class Multivector:
             for m, (re, im) in self._terms.items():
                 out[m] = (cr * re - ci * im, cr * im + ci * re)
         if self.backend == FLOAT:
-            _check_finite(out)
+            out = _check_finite(out)
         return Multivector._raw(self.sig, self.field, self.backend, out)
 
     def __rmul__(self, other):
@@ -402,7 +404,7 @@ def _product(u: Multivector, v: Multivector, keep: int | None = None) -> Multive
     ``(B & swap_mask(A)).bit_count()`` equals ``keep``: 1 keeps the
     anticommuting pairs (the commutator), 0 the commuting ones (the
     anticommutator).  More than ``MAX_PRODUCT_PAIRS`` pairs raise AlgebraError,
-    and so does a float-backend result that overflowed to inf or nan.
+    and a float-backend result is finished by :func:`_check_finite`.
 
     Up to ``TABLE_MAX_N`` generators the pairs read their factor from
     :func:`_blade_table` and add into a dense array; above it the signs come
@@ -418,7 +420,7 @@ def _product(u: Multivector, v: Multivector, keep: int | None = None) -> Multive
     else:
         out = _mask_product(u, v, keep)
     if u.backend == FLOAT:
-        _check_finite(out)
+        out = _check_finite(out)
     return Multivector._raw(u.sig, u.field, u.backend, out)
 
 

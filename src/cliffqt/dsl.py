@@ -870,17 +870,16 @@ def check_soundness(
     sig: Signature,
     trials: int = 100,
     seed: int = 0,
-    tol: float | None = None,
     backend: str = EXACT,
     density: float | None = None,
 ) -> SoundnessReport:
     """Instantiate symbols randomly and test membership in the inferred type.
 
     Failures are reported, not raised; the first one records the trial seed
-    and the exact bindings.  On the float backend the tolerance is relative
-    to the largest coefficient of any binding or intermediate value, so a
-    value that cancels to rounding residue is judged against the magnitude
-    it cancelled from.
+    and the exact bindings.  On the float backend ``member`` judges the value
+    with ``FLOAT_TOL`` relative to the largest coefficient of any binding or
+    intermediate value, so a value that cancels to rounding residue is judged
+    against the magnitude it cancelled from.
     """
     if trials < 1:
         raise AlgebraError(f"trials must be >= 1, got {trials}")
@@ -896,7 +895,7 @@ def check_soundness(
         }
         peaks = [] if backend == FLOAT else None
         result = _eval(expr, bindings, peaks)
-        if not member(result, inferred, tol, max(peaks) if peaks else None):
+        if not member(result, inferred, max(peaks) if peaks else None):
             failures += 1
             if first is None:
                 first = {

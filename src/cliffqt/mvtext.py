@@ -211,11 +211,12 @@ def format_mv(u: Multivector) -> str:
 
 
 # _BYTE_TEXT[brace][k][b]: the indices of the set bits of ``b << 8*k``, in
-# the digit form (brace 0, "124") or the brace form (brace 1, "1,2,4").  A
-# blade's text joins the entries of its nonzero bytes.  The tables grow by
-# whole-list replacement, so a racing thread sees a shorter table, never a
-# wrong one.
+# the digit form (brace 0, "124") or the brace form (brace 1, "1,2,4"), for
+# k < BYTE_TEXT_MAX (generators 1..64); a blade with a higher generator joins
+# its blade_indices.  The tables grow by whole-list replacement, so a racing
+# thread sees a shorter table, never a wrong one.
 _BYTE_TEXT = [[], []]
+BYTE_TEXT_MAX = 8
 
 
 def _grow_byte_text(brace: int, size: int) -> list:
@@ -236,6 +237,8 @@ def _blade_text(mask: int, n: int) -> str:
     brace = n > 9
     table = _BYTE_TEXT[brace]
     if len(table) < size:
+        if size > BYTE_TEXT_MAX:  # n > 64, so the brace form
+            return "e{" + ",".join(map(str, blade_indices(mask))) + "}"
         table = _grow_byte_text(brace, size)
     parts = [row[b] for row, b in zip(table, mask.to_bytes(size, "little")) if b]
     return "e{" + ",".join(parts) + "}" if brace else "e" + "".join(parts)

@@ -373,26 +373,20 @@ def atom_components(u: Multivector):
             yield (k, imag), Multivector._raw(u.sig, u.field, u.backend, parts[k + 4 * imag])
 
 
-def classify_by_conjugation(u: Multivector, tol=None) -> TypeSet:
-    """Classify via the conjugation signs of u's terms; must agree with classify_by_rank."""
-    if tol is None and u.backend == FLOAT:
-        tol = FLOAT_TOL
-    threshold = 0 if tol is None else tol * u.max_abs()
-    bits = 0
-    for a, part in enumerate(_atom_parts(u)):
-        if any(abs(re) > threshold or abs(im) > threshold for re, im in part.values()):
-            bits |= 1 << a
-    return TypeSet(u.field, bits)
+def classify_by_conjugation(u: Multivector) -> TypeSet:
+    """Atoms of every nonzero part of u, read off the conjugation signs of its
+    terms; on every value, of either backend, it equals classify_by_rank(u)."""
+    return TypeSet(u.field, sum(1 << a for a, part in enumerate(_atom_parts(u)) if part))
 
 
-def member(u: Multivector, tset: TypeSet, tol=None, scale=None) -> bool:
+def member(u: Multivector, tset: TypeSet, scale=None) -> bool:
     """True when u lies in the subspace the TypeSet denotes.
 
     Exact backend: strict (no component outside the set).  Float backend:
-    components outside the set must stay below tol (default FLOAT_TOL) times
-    scale, a magnitude the computation of u passed through; the default is
-    the largest coefficient of u, which is too small when u is the rounding
-    residue of a cancellation.  u is a member for every tol when the set holds
+    components outside the set must stay below FLOAT_TOL times scale, a
+    magnitude the computation of u passed through; the default is the
+    largest coefficient of u, which is too small when u is the rounding
+    residue of a cancellation.  u is a member at any scale when the set holds
     all atoms (real, and imaginary over the complexes) of each of u's rank
     classes; only otherwise are the terms compared one by one.
     """
@@ -402,9 +396,9 @@ def member(u: Multivector, tset: TypeSet, tol=None, scale=None) -> bool:
     ranks = set(map(int.bit_count, u._terms))  # at most n+1
     if not sum({1 << (r & 3) for r in ranks}) & ~held:
         return True
-    if tol is None and u.backend == FLOAT:
-        tol = FLOAT_TOL
-    threshold = 0 if tol is None else tol * (u.max_abs() if scale is None else scale)
+    threshold = 0
+    if u.backend == FLOAT:
+        threshold = FLOAT_TOL * (u.max_abs() if scale is None else scale)
     for mask, (re, im) in u._terms.items():
         k = mask.bit_count() & 3
         if not tset.bits >> k & 1 and abs(re) > threshold:

@@ -63,12 +63,12 @@ def relabel_and_compare_type(expr, env):
     return result
 
 
-def reference_member(u, tset, tol=None, scale=None):
+def reference_member(u, tset, scale=None):
     """Reference membership: every term's parts compared with the threshold
     one by one, against the atoms of the term's rank."""
-    if tol is None and u.backend == FLOAT:
-        tol = FLOAT_TOL
-    threshold = 0 if tol is None else tol * (u.max_abs() if scale is None else scale)
+    threshold = 0
+    if u.backend == FLOAT:
+        threshold = FLOAT_TOL * (u.max_abs() if scale is None else scale)
     for mask, (re, im) in u._terms.items():
         k = mask.bit_count() & 3
         if not tset.bits >> k & 1 and abs(re) > threshold:

@@ -20,13 +20,18 @@ from cliffqt import (
     blade_mul,
     blade_rank,
     commutator,
+    format_mv,
     mask_from_indices,
+    mv_from_dict,
+    mv_to_dict,
     parse_mv,
+    qtype_project,
     sign_mask,
 )
 
 from cliffqt import algebra
 from cliffqt.algebra import swap_mask
+from cliffqt.qtype import atom_components
 from cliffqt.verify import naive_blade_product
 from conftest import random_mv
 
@@ -432,3 +437,46 @@ def test_float_arithmetic_refuses_overflow():
     # the exact backend keeps every digit
     exact = mv("1" + "0" * 200 + "*e1", 2, 0)
     assert exact * exact == Multivector.scalar(Signature(2, 0), 10**400)
+
+
+def _assert_no_zero_term(u):
+    """No stored term has both parts zero, so is_zero, len and grades read the value."""
+    nonzero = {m for m, (re, im) in u._terms.items() if re or im}
+    assert nonzero == set(u._terms), u._terms
+    assert u.is_zero() == (not nonzero)
+    assert len(u) == len(nonzero)
+    assert u.grades() == tuple(sorted({m.bit_count() for m in nonzero}))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_no_operation_stores_a_zero_term(field, backend):
+    tiny = 1e-200 if backend == FLOAT else Fraction(1, 10**200)
+    one = 1.0 if backend == FLOAT else 1
+    values = []
+    for n in (12, 4):  # the sign-mask path and the blade-table path
+        sig = Signature(n, 0)
+
+        def make(terms):
+            return Multivector(sig, terms, field, backend)
+
+        u, v = make({1: tiny}), make({2: tiny})  # u * v underflows on the float backend
+        if field == COMPLEX:
+            u, v = make({1: (tiny, tiny)}), make({2: (tiny, -tiny)})
+        e1, e2, w = make({1: one}), make({2: one}), make({0: one, 3: 3 * one, 7: -2 * one})
+        results = [u * v, commutator(u, v), anticommutator(u, v), u.scale(tiny), v.scale(tiny),
+                   e1 * e2 + e2 * e1, anticommutator(e1, e2), commutator(w, w), w + -w, w - w,
+                   w * w, w.scale(0), w.scale(one)]
+        if backend == FLOAT:
+            assert all(r.is_zero() for r in results[:5]), [r._terms for r in results[:5]]
+        values += results + [u, v, w]
+    for x in values:
+        unary = [x, x.reversion(), x.grade_involution(), x.even_part(), x.odd_part()]
+        unary += [x.grade(k) for k in range(x.sig.n + 1)]
+        unary += [qtype_project(x, k) for k in range(4)]
+        unary += [part for _, part in atom_components(x)]
+        unary += [parse_mv(format_mv(x), x.sig, field, backend), mv_from_dict(mv_to_dict(x))]
+        if field == COMPLEX:
+            unary += [x.complex_conjugate(), x.pseudo_hermitian()]
+        for y in unary:
+            _assert_no_zero_term(y)

@@ -19,7 +19,7 @@ from cliffqt import (
     parse_mv,
 )
 from cliffqt.algebra import blade_indices
-from cliffqt.mvtext import MAX_DIGITS, _blade_text
+from cliffqt.mvtext import _BYTE_TEXT, BYTE_TEXT_MAX, MAX_DIGITS, _blade_text
 
 from conftest import random_mv
 
@@ -438,3 +438,12 @@ def test_dict_form_reads_ints_as_ints():
     u = mv_from_dict(data)
     assert [type(re) for _, (re, _) in u.terms()] == [int, int, Fraction, Fraction]
     assert all(type(im) is int for _, (_, im) in u.terms())
+
+
+def test_blade_text_tables_stay_bounded():
+    sig = Signature(1_000_000, 0)
+    for indices in ([1_000_000], [1, 9, 64, 65, 999_999, 1_000_000]):
+        u = Multivector.basis_blade(sig, indices)
+        assert format_mv(u) == "e{" + ",".join(map(str, indices)) + "}"
+        assert format_mv(u) == _naive_blade_text(u.terms()[0][0], sig.n)
+    assert all(len(table) <= BYTE_TEXT_MAX for table in _BYTE_TEXT)

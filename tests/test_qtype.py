@@ -129,6 +129,15 @@ def test_dual_classifiers_agree_on_random(field, backend):
     else:
         sig = Signature(2, 2)
         samples = [random_mv(sig, rng, field=field, backend=backend) for _ in range(1000)]
+        if backend == FLOAT:
+            # a part far below FLOAT_TOL * max_abs on a rank class u lacks counts on both routes
+            for u in samples[:200]:
+                held = classify_by_rank(u).bits
+                lacking = [k for k in range(4) if not held >> k & 1]
+                if lacking and not u.is_zero():
+                    tiny = {(1 << lacking[0]) - 1: 1e-3 * qtype.FLOAT_TOL * u.max_abs()}
+                    samples.append(u + Multivector(sig, tiny, u.field, FLOAT))
+            assert len(samples) > 1000
     for u in samples:
         assert classify_by_rank(u) == classify_by_conjugation(u)
 
@@ -437,7 +446,7 @@ def test_member_float_tolerance():
     u = Multivector(sig, {0b01: 1.0, 0b11: 1e-13}, backend=FLOAT)
     assert member(u, ts("1"))           # tiny rank-2 leakage is below tol
     assert not member(u, ts("2"))       # the rank-1 part is genuine
-    assert not member(u, ts("1"), tol=1e-15)  # strict tol sees the leakage
+    assert not member(u, ts("1"), scale=1e-5)  # judged against 1e-5, the leakage shows
 
 
 def _blade_of_class(n, k, rng):
@@ -483,9 +492,9 @@ def test_member_and_classify_by_rank_match_the_per_term_reference(field, backend
             for v in values:
                 assert classify_by_rank(v) == reference_classify_by_rank(v)
                 for tset in sets:
-                    for tol, scale in ((None, None), (1e-15, None), (0.5, None), (None, 10)):
-                        assert member(v, tset, tol, scale) == reference_member(v, tset, tol, scale), (
-                            n, density, format_mv(v)[:80], tset, tol, scale)
+                    for scale in (None, 10, 1e-6):
+                        assert member(v, tset, scale) == reference_member(v, tset, scale), (
+                            n, density, format_mv(v)[:80], tset, scale)
 
 
 # ---------------------------------------------------------------- structure facts
