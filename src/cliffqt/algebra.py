@@ -102,14 +102,14 @@ def sign_mask(a: int, p: int) -> int:
     The sign of e_a * e_b is the parity of the transpositions that sort the
     concatenated index lists, sum over t >= 1 of popcount((a >> t) & b), plus
     one for every shared generator past position p (eta = -1).  Popcount
-    parity adds under XOR, so the shifted copies of ``a`` fold into one mask.
+    parity adds under XOR, so the shifted copies of ``a`` fold into one mask,
+    a suffix XOR of ``a >> 1`` whose reach doubles each step: log2(n) steps.
     """
-    mask = a >> p << p
-    t = a >> 1
-    while t:
-        mask ^= t
-        t >>= 1
-    return mask
+    t, s = a >> 1, 1
+    while t >> s:
+        t ^= t >> s
+        s <<= 1
+    return a >> p << p ^ t
 
 
 def swap_mask(a: int) -> int:

@@ -36,15 +36,13 @@ with conjugations pushed down to the symbols and brackets expanded
 (``[a, b] = ab - ba``, ``{a, b} = ab + ba``).  A conjugation maps each
 word to one relabelled word: reversed under an anti-automorphism, with the
 conjugation's bits flipped at every symbol, and with the coefficient
-conjugated under an antilinear one.  For each conjugation of the field the
-pass relabels the form's first word and looks it up in the form; the
-coefficient found there fixes the one sign, +1 or -1, that the conjugation
-can have on the whole form, or rules both out.  The other words are then
-relabelled one at a time, and the test stops at the first one whose
-coefficient does not match.  When every word matches, the type is
-intersected with that sign's eigenspace.  No conjugated copy of the form is
-built.  That second pass is what recovers the U*rev(U)-style identities
-that no per-node rule can see.
+conjugated under an antilinear one.  When a conjugation maps the form to
++-itself, tested word by word with no conjugated copy built, the type is
+intersected with that sign's eigenspace.  That second pass is what recovers
+the U*rev(U)-style identities that no per-node rule can see.  Its signs
+depend on the tree and the field alone, so they are kept for the last tree
+inferred: ``check_soundness`` at a second signature reuses them and still
+folds the closure tables afresh.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -229,42 +228,33 @@ def free_symbols(expr: Expr) -> set[str]:
 
 _KEYWORDS = {"let", "rev", "gri", "conj", "phc", "i"}
 _CONJ_NAMES = {"rev", "gri", "conj", "phc"}
-_PUNCT = "+-*/()[]{},;"
+
+# One token per match: finditer steps over the space between tokens, and
+# ``bad`` is any other character that starts no token.  A ':' token runs to the
+# next ';'.  ``\w`` also admits numeric non-letters such as '²', so a name's
+# first character is checked apart.
+_TOKEN = re.compile(
+    rf"(?P<number>{_NUMBER.pattern})|(?P<IDENT>\w+)|(?P<mark>:[^;]*|[-+*/()[\]{{}},;])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str):
     """Tokens as ``(kind, lexeme, character offset)``, ending with EOF."""
-    tokens = []
-    i = 0
-    end = len(text)
-    while i < end:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        j = i + 1
-        number = _NUMBER.match(text, i)
-        if number:
-            j = number.end()
-            _check_digits(text, i, number.group())
-            kind = "DECIMAL" if "." in number.group() else "INT"
+    tokens, end = [], len(text)
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, i = m.lastgroup, m.group(), m.start()
+        if kind == "mark":
+            kind = lexeme[0]
+        elif kind == "number":
+            _check_digits(text, i, lexeme)
+            kind = "DECIMAL" if "." in lexeme else "INT"
+            j = m.end()
             if j < end and (text[j].isalpha() or text[j] == "_"):
                 # '1e3' is neither a float nor 1*e3: ask for an explicit product
-                _fail_at(text, i, f"number {text[i:j]!r} runs into {text[j]!r}; write '*' or a space")
-        elif ch.isalpha() or ch == "_":
-            kind = "IDENT"
-            while j < end and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-        elif ch == ":":  # runs to the next ';': the colon and a declared type set
-            kind = ch
-            j = text.find(";", i)
-            j = end if j < 0 else j
-        elif ch in _PUNCT:
-            kind = ch
-        else:
-            _fail_at(text, i, f"malformed token {ch!r}")
-        tokens.append((kind, text[i:j], i))
-        i = j
+                _fail_at(text, i, f"number {lexeme!r} runs into {text[j]!r}; write '*' or a space")
+        elif kind == "bad" or not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            _fail_at(text, i, f"malformed token {lexeme[0]!r}")
+        tokens.append((kind, lexeme, i))
     tokens.append(("EOF", None, end))
     return tokens
 
@@ -609,18 +599,36 @@ def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
     is skipped and the compositional type is returned.
     """
     result = _infer_compositional(expr, env)
-    try:
-        base = canonical_form(expr)
-    except _TooManyMonomials:
-        return result
-    if not base:
+    symmetries = _refinement(expr, env.field)[3]
+    if symmetries == "cancelled":
         # the normal form cancelled everything: the value is identically zero
         return TypeSet.empty(env.field)
-    for bits in conjugation_codes(env.field):
-        sign = _eigen_sign(base, bits)
-        if sign:
-            result = result & eigenspace(bits, sign, env.field)
+    for bits, sign in symmetries or ():
+        result = result & eigenspace(bits, sign, env.field)
     return result
+
+
+# (tree, field, sorted free symbols, symmetries) of the last tree refined, a
+# function of the tree and field alone; holding the tree keeps its id unused.
+_last_refinement: tuple = (None, None, (), None)
+
+
+def _refinement(expr: Expr, field: str) -> tuple:
+    """That record for expr, made unless expr is the last tree.  Symmetries are
+    the (conjugation bits, sign) pairs that map the normal form to +-itself,
+    "cancelled" when the form is zero, or None past ``MAX_MONOMIALS``."""
+    global _last_refinement
+    record = _last_refinement
+    if record[0] is not expr or record[1] != field:
+        try:
+            base = canonical_form(expr)
+        except _TooManyMonomials:
+            symmetries = None
+        else:
+            signs = ((bits, _eigen_sign(base, bits)) for bits in conjugation_codes(field))
+            symmetries = tuple(pair for pair in signs if pair[1]) if base else "cancelled"
+        record = _last_refinement = (expr, field, tuple(sorted(free_symbols(expr))), symmetries)
+    return record
 
 
 def _eigen_sign(poly: dict, bits: int) -> int:
@@ -824,11 +832,17 @@ def random_instance(
 
 @dataclass
 class SoundnessReport:
-    program: str
+    env: TypeEnv
+    expr: Expr
     inferred: TypeSet
     trials: int
     failures: int
     first_counterexample: dict | None
+
+    @property
+    def program(self) -> str:
+        """The program text, formatted only when it is read."""
+        return format_program(self.env, self.expr)
 
     @property
     def passed(self) -> bool:
@@ -879,12 +893,13 @@ def check_soundness(
     and the exact bindings.  On the float backend ``member`` judges the value
     with ``FLOAT_TOL`` relative to the largest coefficient of any binding or
     intermediate value, so a value that cancels to rounding residue is judged
-    against the magnitude it cancelled from.
+    against the magnitude it cancelled from.  The same tree object checked
+    again, at any signature, reuses its normal form's signs and symbol names.
     """
     if trials < 1:
         raise AlgebraError(f"trials must be >= 1, got {trials}")
     inferred = infer_type(expr, env)
-    names = sorted(free_symbols(expr))
+    names = _refinement(expr, env.field)[2]
     failures = 0
     first = None
     for trial in range(trials):
@@ -904,10 +919,4 @@ def check_soundness(
                     "bindings": {name: format_mv(mv) for name, mv in bindings.items()},
                     "observed": str(classify_by_rank(result)),
                 }
-    return SoundnessReport(
-        program=format_program(env, expr),
-        inferred=inferred,
-        trials=trials,
-        failures=failures,
-        first_counterexample=first,
-    )
+    return SoundnessReport(env, expr, inferred, trials, failures, first)

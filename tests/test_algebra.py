@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -73,6 +74,27 @@ def test_sign_mask_examples():
     # with p = 0 every shared generator squares to -1
     assert sign_mask(0b1, 0) == 0b1
     assert sign_mask(0, 2) == 0
+
+
+def _per_bit_sign_mask(a, p):
+    """The reference: one XOR of a shifted copy of ``a`` per bit position."""
+    mask = a >> p << p
+    t = a >> 1
+    while t:
+        mask ^= t
+        t >>= 1
+    return mask
+
+
+def test_sign_mask_folds_like_the_per_bit_loop():
+    rng = random.Random(17)
+    for n in [*range(1, 70), 200, 1000]:
+        for _ in range(200):
+            a, p = rng.getrandbits(n), rng.randint(0, n)
+            assert sign_mask(a, p) == _per_bit_sign_mask(a, p), (n, a, p)
+        for p in range(n + 1):
+            for a in (rng.getrandbits(n), (1 << n) - 1, 1 << (n - 1)):
+                assert sign_mask(a, p) == _per_bit_sign_mask(a, p), (n, a, p)
 
 
 def test_blade_mul_identity():

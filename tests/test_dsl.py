@@ -29,7 +29,7 @@ from cliffqt import (
     parse_typeset,
     random_instance,
 )
-from cliffqt import qtype
+from cliffqt import dsl, qtype
 from cliffqt.corpus import CORPUS
 from cliffqt.dsl import (
     Add,
@@ -633,3 +633,45 @@ def test_report_text_contains_counterexample(monkeypatch):
     assert not report.passed
     text = report.format_text()
     assert "counterexample" in text and "observed type" in text
+
+
+def test_a_fault_injected_after_a_check_fails_the_same_tree(monkeypatch):
+    # the reverse of acceptance 8b: nothing kept from the healthy check may hide the fault
+    env, expr = parse_program("let x:1; let y:1; [x,y]")
+    sig = Signature(2, 2)
+    assert check_soundness(expr, env, sig, trials=100, seed=11).passed
+    bad = ((2, 3, 0, 1), (3, 0, 1, 0), (0, 1, 2, 3), (1, 0, 3, 2))
+    monkeypatch.setattr(qtype, "_COMM_MAIN", bad)
+    assert not check_soundness(expr, env, sig, trials=100, seed=11).passed
+
+
+def test_a_second_signature_reuses_the_normal_form(monkeypatch):
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return canonical_form(expr)
+
+    monkeypatch.setattr(dsl, "canonical_form", counted)
+    env, expr = parse_program("let x:1; let y:3; {x, rev(y)} * x")
+    first = check_soundness(expr, env, Signature(2, 2), trials=3)
+    second = check_soundness(expr, env, Signature(4, 1), trials=3)
+    assert sum(node is expr for node in calls) == 1
+    assert first.inferred == second.inferred == infer_type(expr, env)
+    # one tree is kept: after another tree, the first one is walked again
+    other_env, other = parse_program("let x:2; x*x")
+    check_soundness(other, other_env, Signature(2, 2), trials=1)
+    check_soundness(expr, env, Signature(2, 2), trials=1)
+    assert sum(node is expr for node in calls) == 2
+
+
+@pytest.mark.parametrize(
+    "program, field",
+    [("let x:1; let y:3; {x, y} - 2*x", REAL), ("let u:0+i2; i*u*rev(u) + 1/2*conj(u) - v", COMPLEX)],
+)
+def test_report_program_text_is_the_formatted_program(program, field):
+    env, expr = parse_program(program, field)
+    report = check_soundness(expr, env, Signature(2, 1), trials=2)
+    text = format_program(env, expr)
+    assert report.program == report.as_dict()["program"] == text
+    assert report.format_text().split("\n")[0] == f"program:  {text}"
