@@ -172,6 +172,21 @@ def _check_finite(tmap: dict) -> dict:
     return {m: c for m, c in tmap.items() if c[0] or c[1]}
 
 
+def _accumulate(out: dict, terms) -> dict:
+    """Add each (blade mask or normal-form word, (re, im)) of terms into out, dropping cancelled keys."""
+    for key, c in terms:
+        cur = out.get(key)
+        if cur is None:
+            out[key] = c
+        else:
+            re, im = cur[0] + c[0], cur[1] + c[1]
+            if re == 0 and im == 0:
+                del out[key]
+            else:
+                out[key] = (re, im)
+    return out
+
+
 class Multivector:
     """Immutable sparse multivector over a fixed signature, field and backend."""
 
@@ -293,18 +308,7 @@ class Multivector:
         self._compat(other)
         if self.backend != other.backend:
             raise AlgebraError(f"backend mismatch: {self.backend} vs {other.backend}")
-        out = dict(self._terms)
-        for m, (re, im) in other._terms.items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = (re, im)
-            else:
-                re += cur[0]
-                im += cur[1]
-                if re == 0 and im == 0:
-                    del out[m]
-                else:
-                    out[m] = (re, im)
+        out = _accumulate(dict(self._terms), other._terms.items())
         if self.backend == FLOAT:
             out = _check_finite(out)
         return Multivector._raw(self.sig, self.field, self.backend, out)

@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,31 +82,36 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cliffqt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, text, *options):
-        """A subcommand with --json and only the options it reads."""
+    def command(name, run, text, *options):
+        """A subcommand run by ``run(args)``, with --json and only the options it reads."""
         p = sub.add_parser(name, help=text)
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--json", action="store_true", help="structured output")
+        p.set_defaults(run=run)
         return p
 
     concrete = ("--field", "--backend", "--sig")  # for commands that compute in Cl(p,q)
-    p = command("mul", "geometric product of two literals", *concrete)
+    p = command("mul", cmd_mul, "geometric product of two literals", *concrete)
     p.add_argument("lhs")
     p.add_argument("rhs")
-    command("classify", "quaternion type of a literal", *concrete).add_argument("mv")
-    p = command("project", "main-type component of a literal", *concrete)
+    command("classify", cmd_classify, "quaternion type of a literal", *concrete).add_argument("mv")
+    p = command("project", cmd_project, "main-type component of a literal", *concrete)
     p.add_argument("k", type=int, choices=(0, 1, 2, 3))
     p.add_argument("mv")
-    command("tables", "print a closure table").add_argument("op", choices=sorted(_TABLES))
-    command("infer", "abstract type of a DSL program", "--field").add_argument("program")
-    p = command("check", "randomized soundness check", *concrete, "--seed", "--trials", "--density")
+    command("tables", cmd_tables, "print a closure table").add_argument("op", choices=sorted(_TABLES))
+    command("infer", cmd_infer, "abstract type of a DSL program", "--field").add_argument("program")
+    p = command(
+        "check", cmd_check, "randomized soundness check", *concrete, "--seed", "--trials", "--density"
+    )
     p.add_argument("program")
-    command("selftest", "oracle sweep and table derivation").add_argument("--max-n", type=int, default=5)
+    p = command("selftest", cmd_selftest, "oracle sweep and table derivation")
+    p.add_argument("--max-n", type=int, default=5)
     return parser
 
 
@@ -214,17 +220,6 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "mul": cmd_mul,
-    "classify": cmd_classify,
-    "project": cmd_project,
-    "tables": cmd_tables,
-    "infer": cmd_infer,
-    "check": cmd_check,
-    "selftest": cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -236,7 +231,7 @@ def main(argv=None) -> int:
             # replaying seed 0 instead would hide that the run was not the one asked for
             parser.error(f"CLIFFQT_SEED must be an integer, got {text!r}")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ParseError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,6 +63,7 @@ from .algebra import (
     REAL,
     Multivector,
     Signature,
+    _accumulate,
     anticommutator,
     commutator,
 )
@@ -226,8 +227,8 @@ def free_symbols(expr: Expr) -> set[str]:
 
 # ------------------------------------------------------------------ lexer / parser
 
-_KEYWORDS = {"let", "rev", "gri", "conj", "phc", "i"}
 _CONJ_NAMES = {"rev", "gri", "conj", "phc"}
+_KEYWORDS = _CONJ_NAMES | {"let", "i"}
 
 # One token per match: finditer steps over the space between tokens, and
 # ``bad`` is any other character that starts no token.  A ':' token runs to the
@@ -483,21 +484,6 @@ def _cmul(c1, c2):
     return (a * c - b * d, a * d + b * c)
 
 
-def _accumulate(out: dict, terms) -> dict:
-    """Add each (word, coef) of terms into out, dropping words that cancel."""
-    for word, c in terms:
-        cur = out.get(word)
-        if cur is None:
-            out[word] = c
-        else:
-            re, im = cur[0] + c[0], cur[1] + c[1]
-            if re == 0 and im == 0:
-                del out[word]
-            else:
-                out[word] = (re, im)
-    return out
-
-
 def _poly_scale(p: dict, c) -> dict:
     if c[0] == 0 and c[1] == 0:
         return {}
@@ -705,10 +691,8 @@ def _eval(expr: Expr, bindings: dict, peaks: list | None = None) -> Multivector:
 # type) and refuses a dense type-2 draw at n = 30 (2^28 terms).
 MAX_EXPECTED_TERMS = 1 << 21
 
-
-def default_density(n: int) -> float:
-    """Full density for small algebras, sparse for large ones."""
-    return 1.0 if n <= 10 else 0.002
+# Most generators at which draws default to density 1 and dense blade lists stay cached (40 of <= 2^10).
+DENSE_MAX_N = 10
 
 
 def _unrank_subset(index: int, n: int, r: int) -> int:
@@ -733,11 +717,6 @@ def _unrank_subset(index: int, n: int, r: int) -> int:
 
 # The exact backend draws each coefficient uniformly from these 18 values.
 _DRAWN_COEFFICIENTS = (-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-
-# Most generators whose dense blade lists stay cached: density 1 is the
-# default up to 10, and the cache then holds at most 40 lists of at most
-# 2^10 masks each.
-_MASK_CACHE_MAX_N = 10
 
 
 @functools.lru_cache(maxsize=None)
@@ -780,14 +759,14 @@ def random_instance(
 
     Supported blades have rank = k mod 4 for the set's atoms; imaginary atoms
     get purely imaginary coefficients.  Each eligible blade is kept with the
-    given probability (default: density 1 for n <= 10, 0.002 above).  Below
-    density 1 the kept blades are reached by geometric skips, so a draw takes
-    time proportional to its expected number of terms, density times the
-    eligible blades; a draw expecting more than ``MAX_EXPECTED_TERMS`` raises
-    ``AlgebraError``.
+    given probability: by default 1 up to ``DENSE_MAX_N`` generators, where
+    the dense blade lists stay cached, and 0.002 above.  Below density 1 the
+    kept blades are reached by geometric skips, so a draw takes time
+    proportional to its expected number of terms, density times the eligible
+    blades; a draw expecting more than ``MAX_EXPECTED_TERMS`` raises ``AlgebraError``.
     """
     if density is None:
-        density = default_density(sig.n)
+        density = 1.0 if sig.n <= DENSE_MAX_N else 0.002
     if not 0 < density <= 1:
         raise AlgebraError(f"density must be in (0, 1], got {density}")
     limit = MAX_EXPECTED_TERMS / density
@@ -808,7 +787,7 @@ def random_instance(
     for k, imag in tset.atoms():
         if density < 1.0:
             masks = _sparse_masks(rng, n, k, density)
-        elif n <= _MASK_CACHE_MAX_N:
+        elif n <= DENSE_MAX_N:
             masks = _dense_masks(n, k)
         else:
             masks = _dense_masks.__wrapped__(n, k)

@@ -20,6 +20,9 @@ griconj      +    -    +    -    -     +     -     +
 griphc       +    -    -    +    -     +     +     -
 ==========  ===  ===  ===  ===  ====  ====  ====  ====
 
+The bracketed symbols are the paper's notation; a conjugation is passed by
+one of the 7 names of ``CONJUGATIONS_COMPLEX`` or by its bit code 1..7.
+
 With the identity, the conjugations form a group G (3 of them over the
 reals, 7 over the complexes, composing by XOR of their bit codes), and each
 atom a is one of its characters chi_a, the column above.  The table has one
@@ -223,18 +226,9 @@ def product_type(a: TypeSet, b: TypeSet) -> TypeSet:
 
 _REV, _GRI, _CCONJ = 1, 2, 4
 
-_OP_ALIASES = {
-    "rev": _REV, "~": _REV,
-    "gri": _GRI, "^": _GRI,
-    "grirev": _REV | _GRI, "revgri": _REV | _GRI, "^~": _REV | _GRI,
-    "conj": _CCONJ, "-": _CCONJ,
-    "phc": _REV | _CCONJ, "‡": _REV | _CCONJ,
-    "griconj": _GRI | _CCONJ, "^-": _GRI | _CCONJ,
-    "griphc": _REV | _GRI | _CCONJ, "^‡": _REV | _GRI | _CCONJ,
-}
-
 CONJUGATIONS_REAL = ("rev", "gri", "grirev")
-CONJUGATIONS_COMPLEX = ("rev", "gri", "grirev", "conj", "phc", "griconj", "griphc")
+CONJUGATIONS_COMPLEX = CONJUGATIONS_REAL + ("conj", "phc", "griconj", "griphc")
+_CODES = {name: code for code, name in enumerate(CONJUGATIONS_COMPLEX, 1)}
 
 
 def conjugation_codes(field: str) -> range:
@@ -254,22 +248,13 @@ _NEGATES = tuple(
 
 
 def conjugation_bits(op, field: str = COMPLEX) -> int:
-    """Canonical (rev, gri, conj) bit code of a conjugation name or code of the field."""
-    if isinstance(op, int):
-        if not 1 <= op <= 7:
-            raise AlgebraError(f"bad conjugation code {op}")
-        bits = op
-    else:
-        bits = _OP_ALIASES.get(op)
-        if bits is None:
-            raise AlgebraError(f"unknown conjugation {op!r}")
+    """(rev, gri, conj) bit code of a conjugation of the field, given by code or by name."""
+    bits = op if isinstance(op, int) and 1 <= op <= 7 else _CODES.get(op)
+    if bits is None:
+        raise AlgebraError(f"unknown conjugation {op!r}")
     if bits & _CCONJ and field != COMPLEX:
         raise AlgebraError(f"conjugation {CONJUGATIONS_COMPLEX[bits - 1]!r} needs the complex field")
     return bits
-
-
-def conjugation_name(op) -> str:
-    return CONJUGATIONS_COMPLEX[conjugation_bits(op) - 1]
 
 
 def conjugation_action(op, field: str = REAL) -> tuple[int, ...]:
@@ -340,7 +325,7 @@ def _atom_parts(u: Multivector) -> list[dict]:
                 if y != x:
                     if y != -x:
                         raise RuntimeError(
-                            f"conjugation {conjugation_name(gens[j])!r} maps the "
+                            f"conjugation {CONJUGATIONS_COMPLEX[gens[j] - 1]!r} maps the "
                             f"{('real', 'imaginary')[part]} part {x} of blade {blade_indices(m)} "
                             f"to {'nothing' if y is None else y}, not +-{x}"
                         )
@@ -409,10 +394,12 @@ def member(u: Multivector, tset: TypeSet, scale=None) -> bool:
 
 
 def main_type_dim(n: int, k: int) -> int:
-    """Real dimension of one atom subspace: sum of C(n, r) over r = k mod 4."""
-    from math import comb
-
-    return sum(comb(n, r) for r in range(k, n + 1, 4))
+    """Real dimension of one atom subspace, the sum of C(n, r) over r = k mod 4: filtering
+    (1 + x)^n by the 4th roots of unity gives ``(2^n + c 2^(n//2 + 1)) / 4``, c = +-1 or 0."""
+    if n == 0:
+        return int(k == 0)
+    c = (1, -1, -1, 1) if n & 1 else (1, 0, -1, 0)
+    return ((1 << n) + c[((n >> 1) - k) & 3] * (2 << (n >> 1))) >> 2
 
 
 # ------------------------------------------------------------------ startup self-check

@@ -204,6 +204,11 @@ def test_check_refuses_an_oversized_draw(capsys):
     code, _, err = run(capsys, "check", "--sig", "30,0", "--density", "1", "let x:2; x")
     assert code == 2
     assert "expects more than" in err
+    # the size guard is a closed form, so a huge algebra is refused at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--sig", "3000000,0", "--trials", "1", "x")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and not out and "expects more than" in err
 
 
 @pytest.mark.parametrize(
@@ -364,6 +369,24 @@ def test_settable_values_per_command():
     assert counts == {
         "mul": 6, "classify": 5, "project": 6, "tables": 2, "infer": 3, "check": 8, "selftest": 2,
     }
+
+
+def test_each_command_runs_its_own_handler():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert len(sub.choices) == 7
+    for name, p in sub.choices.items():
+        assert p.get_default("run") is getattr(cli, f"cmd_{name}")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+    monkeypatch.setattr(
+        cli._Parser, "parse_args", lambda self, argv: parsers.append(self) or parse_args(self, argv)
+    )
+    assert run(capsys, "tables", "comm")[0] == 0
+    assert run(capsys, "infer", "x")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is cli._build_parser()
 
 
 def test_usage_error_from_argparse():

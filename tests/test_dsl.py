@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -504,6 +505,20 @@ def test_random_instance_sparse_stream_is_pinned():
         "- 6*e{1,2,4,5,6,8,9,10,12} - 7*e{1,4,5,6,7,8,9,10,12} "
         "+ 4i*e{1,2,3,4,5,6,8,9,10,11,12}"
     )
+
+
+def test_random_instance_default_density_stream_is_pinned():
+    # by default density 1 up to DENSE_MAX_N generators and 0.002 above; both streams are pinned
+    assert dsl.DENSE_MAX_N == 10
+    u = random_instance(ts("2"), Signature(6, 4), 3)
+    assert len(u) == 256 and u == random_instance(ts("2"), Signature(6, 4), 3, 1.0)
+    assert hashlib.sha256(format_mv(u).encode()).hexdigest()[:16] == "8892e124deaeb08c"
+    u = random_instance(ts("0123+i0123", COMPLEX), Signature(7, 4), 1)
+    assert format_mv(u) == (
+        "6*e{1,2,4} - 2*e{1,10,11} + 6*e{4,5,6,9,11} + 6i*e{3,7,8,9,11} + 4*e{4,6,7,8,9,11} "
+        "+ 2*e{2,3,4,5,7,8,10} - 9*e{2,3,4,5,6,9,10}"
+    )
+    assert u == random_instance(ts("0123+i0123", COMPLEX), Signature(7, 4), 1, 0.002)
 
 
 def test_unrank_subset_is_a_bijection():

@@ -338,7 +338,7 @@ def test_closure_soundness_on_blades_small_n():
 
 def test_conjugation_action_real():
     assert conjugation_action("rev") == (1, 1, -1, -1)
-    assert conjugation_action("~") == (1, 1, -1, -1)
+    assert conjugation_action(1) == (1, 1, -1, -1)
     assert conjugation_action("gri") == (1, -1, 1, -1)
     assert conjugation_action("grirev") == (1, -1, -1, 1)
     with pytest.raises(AlgebraError):
@@ -364,6 +364,22 @@ _COMPLEX_ACTIONS = {
 @pytest.mark.parametrize("op,signs", sorted(_COMPLEX_ACTIONS.items()))
 def test_conjugation_action_complex(op, signs):
     assert conjugation_action(op, COMPLEX) == signs
+
+
+def test_conjugation_bits_reads_the_seven_names_and_codes():
+    for code, name in enumerate(qtype.CONJUGATIONS_COMPLEX, 1):
+        assert qtype.conjugation_bits(name) == qtype.conjugation_bits(code) == code
+        for op in (name, code):
+            if name in qtype.CONJUGATIONS_REAL:
+                assert qtype.conjugation_bits(op, REAL) == code
+            else:  # the conj family exists only over the complexes
+                with pytest.raises(AlgebraError, match="needs the complex field"):
+                    qtype.conjugation_bits(op, REAL)
+    assert qtype.CONJUGATIONS_REAL == qtype.CONJUGATIONS_COMPLEX[:3]
+    for op in ("~", "revgri", "‡", "", 0, 8, -1):
+        for field in (REAL, COMPLEX):
+            with pytest.raises(AlgebraError, match="unknown conjugation"):
+                qtype.conjugation_bits(op, field)
 
 
 def test_phc_action_on_i2_atom():
@@ -527,6 +543,12 @@ def test_main_type_dims():
     assert [main_type_dim(4, k) for k in range(4)] == [2, 4, 6, 4]
     assert [main_type_dim(20, k) for k in range(4)] == [261632, 262144, 262656, 262144]
     assert sum(main_type_dim(6, k) for k in range(4)) == 64
+    from math import comb
+
+    # the closed form against the binomial sums it replaces
+    for n in range(301):
+        for k in range(4):
+            assert main_type_dim(n, k) == sum(comb(n, r) for r in range(k, n + 1, 4))
 
 
 def test_classify_minimality_and_zero():
