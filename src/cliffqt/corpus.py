@@ -25,45 +25,26 @@ class CorpusEntry:
 def _table_entries() -> list[CorpusEntry]:
     from .qtype import _ACOMM_MAIN, _COMM_MAIN
 
-    out = []
-    for k1 in range(4):
-        for k2 in range(4):
-            out.append(
-                CorpusEntry(
-                    f"comm-{k1}{k2}",
-                    REAL,
-                    f"let x:{k1}; let y:{k2}; [x, y]",
-                    str(_COMM_MAIN[k1][k2]),
-                )
-            )
-            out.append(
-                CorpusEntry(
-                    f"acomm-{k1}{k2}",
-                    REAL,
-                    f"let x:{k1}; let y:{k2}; {{x, y}}",
-                    str(_ACOMM_MAIN[k1][k2]),
-                )
-            )
-    # complex atoms: the imaginary flag XORs through both tables
-    for k1 in range(4):
-        for k2 in range(4):
-            out.append(
-                CorpusEntry(
-                    f"comm-i{k1}-{k2}",
-                    COMPLEX,
-                    f"let x:i{k1}; let y:{k2}; [x, y]",
-                    f"i{_COMM_MAIN[k1][k2]}",
-                )
-            )
-            out.append(
-                CorpusEntry(
-                    f"acomm-i{k1}-i{k2}",
-                    COMPLEX,
-                    f"let x:i{k1}; let y:i{k2}; {{x, y}}",
-                    str(_ACOMM_MAIN[k1][k2]),
-                )
-            )
-    return out
+    # (name, field, x's and y's prefixes, bracket, table, result prefix); the
+    # complex atoms show the imaginary flag XORing through both tables
+    variants = (
+        ("comm-{}{}", REAL, "", "", "[x, y]", _COMM_MAIN, ""),
+        ("acomm-{}{}", REAL, "", "", "{x, y}", _ACOMM_MAIN, ""),
+        ("comm-i{}-{}", COMPLEX, "i", "", "[x, y]", _COMM_MAIN, "i"),
+        ("acomm-i{}-i{}", COMPLEX, "i", "i", "{x, y}", _ACOMM_MAIN, ""),
+    )
+    return [
+        CorpusEntry(
+            name.format(k1, k2),
+            field,
+            f"let x:{xi}{k1}; let y:{yi}{k2}; {bracket}",
+            f"{flag}{table[k1][k2]}",
+        )
+        for pair in (variants[:2], variants[2:])
+        for k1 in range(4)
+        for k2 in range(4)
+        for name, field, xi, yi, bracket, table, flag in pair
+    ]
 
 
 # identities satisfied by an arbitrary element (fixed/negated under one

@@ -68,7 +68,7 @@ from .algebra import (
     commutator,
 )
 from .errors import AlgebraError, BindingError
-from .mvtext import _NUMBER, _check_digits, _fail_at, format_mv
+from .mvtext import _NUMBER, MAX_DIGITS, _check_digits, _fail_at, format_mv
 from .qtype import (
     _CCONJ,
     _REV,
@@ -100,13 +100,7 @@ class Expr:
 
     def _preorder(self) -> list:
         """(type, label) of every node; a node's type and label fix its child count."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.append((type(node), _label(node)))
-            stack.extend(_children(node))
-        return out
+        return [(type(node), _label(node)) for node in _walk(self)]
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -214,15 +208,17 @@ class TypeEnv:
             raise BindingError(f"unbound symbol {name!r}") from None
 
 
-def free_symbols(expr: Expr) -> set[str]:
-    out: set[str] = set()
+def _walk(expr: Expr):
+    """Every node of expr in preorder, listed with an explicit stack."""
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Sym):
-            out.add(node.name)
+        yield node
         stack.extend(_children(node))
-    return out
+
+
+def free_symbols(expr: Expr) -> set[str]:
+    return {node.name for node in _walk(expr) if isinstance(node, Sym)}
 
 
 # ------------------------------------------------------------------ lexer / parser
@@ -269,6 +265,8 @@ class _DslParser:
     # frames per tree level.  100 keeps all of them far below Python's
     # default recursion limit of 1000.
     MAX_DEPTH = 100
+    # Bound on a folded coefficient's numerator and denominator: each tree formats and reads back.
+    _FOLD_BOUND = 10**MAX_DIGITS
 
     def __init__(self, text: str, field: str):
         self.text = text
@@ -372,7 +370,11 @@ class _DslParser:
             return self._atom()
         if self._peek()[0] == "*":
             self._next()
-        return Scale(coef, self._unary())
+        node = Scale(coef, self._unary())
+        q = node.coef[0] or node.coef[1]
+        if abs(q.numerator) >= self._FOLD_BOUND or q.denominator >= self._FOLD_BOUND:
+            self._fail(f"folded coefficient has more than {MAX_DIGITS} digits", pos)
+        return node
 
     def _atom(self) -> Expr:
         kind, lexeme, pos = self._next()
@@ -655,10 +657,9 @@ def eval_expr(expr: Expr, env: TypeEnv, bindings: dict) -> Multivector:
             raise BindingError(f"no binding for symbol {name!r}")
         if value.field != env.field:
             raise BindingError(f"binding for {name!r} has field {value.field}, env is {env.field}")
-        if not classify_by_rank(value) <= declared:
-            raise BindingError(
-                f"binding for {name!r} has type {classify_by_rank(value)}, declared {declared}"
-            )
+        observed = classify_by_rank(value)
+        if not observed <= declared:
+            raise BindingError(f"binding for {name!r} has type {observed}, declared {declared}")
     return _eval(expr, bindings)
 
 
@@ -769,10 +770,11 @@ def random_instance(
         density = 1.0 if sig.n <= DENSE_MAX_N else 0.002
     if not 0 < density <= 1:
         raise AlgebraError(f"density must be in (0, 1], got {density}")
-    limit = MAX_EXPECTED_TERMS / density
-    # each blade is eligible for at most two atoms (real and imaginary), so
-    # the exact count is needed only when 2^(n+1) could exceed the limit
-    if 2 << sig.n > limit and sum(main_type_dim(sig.n, k) for k, _ in tset.atoms()) > limit:
+    # count * density > MAX_EXPECTED_TERMS, exactly (the quotient overflows at a subnormal density);
+    # a blade is eligible for at most two atoms, so count is summed only if 2^(n+1) may be too many
+    num, den = density.as_integer_ratio()
+    limit = MAX_EXPECTED_TERMS * den
+    if (2 << sig.n) * num > limit and sum(main_type_dim(sig.n, k) for k, _ in tset.atoms()) * num > limit:
         raise AlgebraError(
             f"a draw of type {tset} in Cl({sig.p},{sig.q}) at density {density} "
             f"expects more than {MAX_EXPECTED_TERMS} terms; lower the density"

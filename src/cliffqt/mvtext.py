@@ -15,9 +15,10 @@ Whitespace may appear between any two symbols of ``mv``, ``term``, ``coeff``
 and ``rational`` and around each ``index``, but not inside a number or
 between ``e`` and its digits or ``{``.  Digits, in numbers and blade
 indices alike, are the ASCII digits 0-9, and a number or index has at
-most ``MAX_DIGITS`` (4300) of them.  A coefficient is always read
-exactly, as an int or a Fraction; on the float backend the Multivector
-constructor rounds it to the nearest float and refuses one that overflows.
+most ``MAX_DIGITS`` (4300) of them.  A coefficient, of this text or of the
+structured form ``mv_from_dict`` reads, is always read exactly, as an int or
+a Fraction; on the float backend the Multivector constructor rounds it to
+the nearest float and refuses one that overflows.
 ``0`` is the zero multivector (a scalar term with coefficient 0).  Complex
 coefficients are written as separate real and imaginary terms, e.g.
 ``2*e12 + 3i*e12``.  Formatting always produces the canonical form: terms
@@ -262,26 +263,21 @@ def mv_to_dict(u: Multivector) -> dict:
 
 
 def _read_exact(text):
-    """Exact value of a coefficient string: an int, else a Fraction (``a/b``, decimals)."""
+    """Exact value of a coefficient: an int, else a Fraction (``a/b``, decimals)."""
     if type(text) is str:
         try:
             return int(text)
         except ValueError:
             pass
     try:
+        if type(text) is str and "e" in text.lower():
+            raise ValueError  # an exponent: Fraction("1e99999999") would build all its digits
         value = Fraction(text)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise AlgebraError(
             f"bad coefficient {text!r:.40}: not a number, or more than {MAX_DIGITS} digits"
         ) from None
     return value.numerator if value.denominator == 1 else value
-
-
-def _read_float(text) -> float:
-    try:
-        return float(text)
-    except (ValueError, TypeError):
-        raise AlgebraError(f"bad coefficient {text!r:.40}: not a number") from None
 
 
 def _get(obj, key, where: str, kind=object):
@@ -300,12 +296,11 @@ def mv_from_dict(data: dict) -> Multivector:
     sig = Signature(_get(sig_data, "p", "'signature'", int), _get(sig_data, "q", "'signature'", int))
     field, backend = (_get(data, key, "the input") for key in ("field", "backend"))
     terms = {}
-    read = _read_exact if backend == EXACT else _read_float
     for k, entry in enumerate(_get(data, "terms", "the input", (list, tuple))):
         where = f"term {k}"
         blade = _get(entry, "blade", where, (list, tuple))
         mask = mask_from_indices(blade, sig.n)
-        re, im = (read(_get(entry, key, where)) for key in ("re", "im"))
+        re, im = (_read_exact(_get(entry, key, where)) for key in ("re", "im"))
         if mask in terms:
             raise AlgebraError(f"duplicate blade {blade} in structured input")
         terms[mask] = (re, im)

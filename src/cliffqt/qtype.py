@@ -62,6 +62,7 @@ from .algebra import (
     REAL,
     Multivector,
     Signature,
+    _accumulate,
     blade_indices,
     sign_mask,
 )
@@ -182,11 +183,6 @@ _COMM_MAIN = tuple(tuple(k1 ^ k2 ^ 2 for k2 in range(4)) for k1 in range(4))
 _ACOMM_MAIN = tuple(tuple(k1 ^ k2 for k2 in range(4)) for k1 in range(4))
 
 
-def _pairwise_type(a: TypeSet, b: TypeSet, table) -> TypeSet:
-    a._check(b)
-    return _pairwise_memo(table, a.field, a.bits, b.bits)
-
-
 # The set bits of every atom bitmask, in increasing order.
 _SET_BITS = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
 
@@ -209,12 +205,14 @@ def _pairwise_memo(table, field: str, abits: int, bbits: int) -> TypeSet:
 
 def commutator_type(a: TypeSet, b: TypeSet) -> TypeSet:
     """TypeSet containing [U,V] for U, V of the given types."""
-    return _pairwise_type(a, b, _COMM_MAIN)
+    a._check(b)
+    return _pairwise_memo(_COMM_MAIN, a.field, a.bits, b.bits)
 
 
 def anticommutator_type(a: TypeSet, b: TypeSet) -> TypeSet:
     """TypeSet containing {U,V} for U, V of the given types."""
-    return _pairwise_type(a, b, _ACOMM_MAIN)
+    a._check(b)
+    return _pairwise_memo(_ACOMM_MAIN, a.field, a.bits, b.bits)
 
 
 def product_type(a: TypeSet, b: TypeSet) -> TypeSet:
@@ -290,16 +288,22 @@ def apply_conjugation(u: Multivector, op) -> Multivector:
 
 # ------------------------------------------------------------------ classification
 
-def classify_by_rank(u: Multivector) -> TypeSet:
-    """Minimal TypeSet containing u, read off the ranks of its terms."""
+def _rank_atom_bits(u: Multivector, threshold=0) -> int:
+    """Atom bits of u's coefficient parts larger than threshold in magnitude, read
+    off the ranks of their terms; a threshold of 0 keeps every nonzero part."""
     bits = 0
     for mask, (re, im) in u._terms.items():
         k = mask.bit_count() & 3
-        if re != 0:
+        if re and (not threshold or abs(re) > threshold):
             bits |= 1 << k
-        if im != 0:
+        if im and (not threshold or abs(im) > threshold):
             bits |= 1 << (4 + k)
-    return TypeSet(u.field, bits)
+    return bits
+
+
+def classify_by_rank(u: Multivector) -> TypeSet:
+    """Minimal TypeSet containing u, read off the ranks of its terms."""
+    return TypeSet(u.field, _rank_atom_bits(u))
 
 
 def _atom_parts(u: Multivector) -> list[dict]:
@@ -342,8 +346,7 @@ def qtype_project(u: Multivector, k: int) -> Multivector:
     out = parts[k]
     if u.field == COMPLEX:
         # atom ik holds the imaginary parts, atom k the real parts
-        for m, (re, im) in parts[k + 4].items():
-            out[m] = (out[m][0], im) if m in out else (re, im)
+        _accumulate(out, parts[k + 4].items())
     return Multivector._raw(u.sig, u.field, u.backend, out)
 
 
@@ -373,7 +376,7 @@ def member(u: Multivector, tset: TypeSet, scale=None) -> bool:
     largest coefficient of u, which is too small when u is the rounding
     residue of a cancellation.  u is a member at any scale when the set holds
     all atoms (real, and imaginary over the complexes) of each of u's rank
-    classes; only otherwise are the terms compared one by one.
+    classes; only otherwise are its parts read against the threshold.
     """
     if u.field != tset.field:
         raise AlgebraError(f"field mismatch: {u.field} vs {tset.field}")
@@ -384,13 +387,7 @@ def member(u: Multivector, tset: TypeSet, scale=None) -> bool:
     threshold = 0
     if u.backend == FLOAT:
         threshold = FLOAT_TOL * (u.max_abs() if scale is None else scale)
-    for mask, (re, im) in u._terms.items():
-        k = mask.bit_count() & 3
-        if not tset.bits >> k & 1 and abs(re) > threshold:
-            return False
-        if not tset.bits >> (4 + k) & 1 and abs(im) > threshold:
-            return False
-    return True
+    return not _rank_atom_bits(u, threshold) & ~tset.bits
 
 
 def main_type_dim(n: int, k: int) -> int:

@@ -209,6 +209,12 @@ def test_check_refuses_an_oversized_draw(capsys):
     code, out, err = run(capsys, "check", "--sig", "3000000,0", "--trials", "1", "x")
     assert time.perf_counter() - start < 2.0
     assert code == 2 and not out and "expects more than" in err
+    # a subnormal density is compared exactly, where MAX_EXPECTED_TERMS / density is inf
+    for sig, density in (("3000000,0", "5e-324"), ("100000,0", "2e-308")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--sig", sig, "--density", density, "--trials", "1", "x")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out and "expects more than" in err
 
 
 @pytest.mark.parametrize(
@@ -420,6 +426,7 @@ def test_only_the_printed_form_is_built(capsys, monkeypatch, argv):
 
 
 _LONG = "1" * 4301
+_FOLDED = "let x:1; " + "9" * 4000 + "*" + "9" * 4000 + "*x"
 
 
 @pytest.mark.parametrize(
@@ -430,8 +437,11 @@ _LONG = "1" * 4301
         ("infer", _LONG + "*x"),
         ("mul", "--sig", "2,0", "1" * 3000, "1" * 3000),
         ("mul", "--sig", "2,0", "--json", "1" * 3000, "1" * 3000),
+        ("infer", _FOLDED),
+        ("check", "--sig", "3,0", "--trials", "1", _FOLDED),
     ],
-    ids=["coefficient", "index", "dsl-factor", "product", "product-json"],
+    ids=["coefficient", "index", "dsl-factor", "product", "product-json", "dsl-fold-infer",
+         "dsl-fold-check"],
 )
 def test_digit_limit_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -199,6 +199,35 @@ def test_only_ascii_digits_are_numbers(program, col):
     assert (info.value.line, info.value.col) == (1, col)
 
 
+def test_folded_coefficient_past_the_digit_limit_fails_at_its_number():
+    big = "9" * 4000
+    for program, col in (
+        (f"let x:1; {big}*{big}*x", 10),
+        (f"let x:1; 2*({big}*{big}*x)", 13),
+        (f"let x:1; 1/{big}*1/{big}*x", 10),
+    ):
+        with pytest.raises(ParseError, match="folded coefficient has more than 4300 digits") as info:
+            parse_program(program)
+        assert (info.value.line, info.value.col) == (1, col)
+    # a fold of 4300 digits is accepted, and its tree formats and reads back
+    half = "9" * 2150
+    env, expr = parse_program(f"let x:1; {half}*{half}*x")
+    assert expr.coef == ((10**2150 - 1) ** 2, 0)
+    assert parse_program(format_program(env, expr))[1] == expr
+
+
+def test_table_entries_keep_their_order():
+    from cliffqt.corpus import CorpusEntry, _table_entries
+
+    entries = _table_entries()
+    assert len(entries) == 64 and len({e.name for e in entries}) == 64
+    # one pinned entry of each variant: comm and acomm, real and complex
+    assert entries[12] == CorpusEntry("comm-12", REAL, "let x:1; let y:2; [x, y]", "1")
+    assert entries[27] == CorpusEntry("acomm-31", REAL, "let x:3; let y:1; {x, y}", "2")
+    assert entries[54] == CorpusEntry("comm-i2-3", COMPLEX, "let x:i2; let y:3; [x, y]", "i3")
+    assert entries[35] == CorpusEntry("acomm-i0-i1", COMPLEX, "let x:i0; let y:i1; {x, y}", "1")
+
+
 def test_scalar_prefix_needs_a_star_or_a_space():
     _, expr = parse_program("2*x")
     assert parse_program("2 x")[1] == expr

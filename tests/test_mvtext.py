@@ -196,17 +196,35 @@ def test_float_backend_refuses_non_finite_coefficients():
     # each term fits, their sum does not
     with pytest.raises(AlgebraError, match="finite"):
         parse_mv(f"{huge[:309]} + {huge[:309]}", sig, COMPLEX, FLOAT)
-    for value in ("inf", "-inf", "nan"):
-        data = {
-            "signature": {"p": 2, "q": 0},
-            "field": COMPLEX,
-            "backend": FLOAT,
-            "terms": [{"blade": [1], "re": "1.0", "im": value}],
-        }
-        with pytest.raises(AlgebraError, match="finite"):
-            mv_from_dict(data)
     # the exact backend keeps every digit
     assert parse_mv(huge, sig) == Multivector.scalar(sig, 10**400)
+
+
+def _one_term(backend, re, im="0"):
+    """The structured form of a complex Cl(2,0) value with one e1 term."""
+    return {
+        "signature": {"p": 2, "q": 0},
+        "field": COMPLEX,
+        "backend": backend,
+        "terms": [{"blade": [1], "re": re, "im": im}],
+    }
+
+
+def test_float_structured_input_reads_like_text():
+    # both forms read each numeral exactly, then round it once
+    sig = Signature(2, 0)
+    numerals = ("3", "-12", "3/2", "-2/3", "0.1", "1" * 300, "0." + "0" * 330 + "1", "1/" + "7" * 320)
+    for re in numerals:
+        for im in ("0", "5/7", "-0.25"):
+            sign, mag = ("-", im[1:]) if im[0] == "-" else ("+", im)
+            text = f"{re}*e1 {sign} {mag}i*e1"
+            u, v = mv_from_dict(_one_term(FLOAT, re, im)), parse_mv(text, sig, COMPLEX, FLOAT)
+            assert u == v and format_mv(u) == format_mv(v)
+    for value in ("nan", "inf", "-inf", "abc", "1/0", "1e400", "1e99999999", float("inf")):
+        with pytest.raises(AlgebraError, match="bad coefficient"):
+            mv_from_dict(_one_term(FLOAT, "1.0", value))
+    with pytest.raises(AlgebraError, match="too large"):
+        mv_from_dict(_one_term(FLOAT, "1" * 400))
 
 
 def test_float_zero_parts_print_as_float_zero():
@@ -422,7 +440,9 @@ def test_unprintable_or_unreadable_coefficients_are_algebra_errors():
         format_mv(u * u)
     with pytest.raises(AlgebraError, match="digits to print"):
         mv_to_dict(u * u)
-    for value in ("1" * (MAX_DIGITS + 1), "1/" + "1" * (MAX_DIGITS + 1), "abc", "1/0"):
+    # an exponent is refused before Fraction builds its value
+    for value in ("1" * (MAX_DIGITS + 1), "1/" + "1" * (MAX_DIGITS + 1), "abc", "1/0", "1E99999999",
+                  float("inf"), float("nan")):
         data = {
             "signature": {"p": 2, "q": 0},
             "field": REAL,
