@@ -15,10 +15,10 @@ Whitespace may appear between any two symbols of ``mv``, ``term``, ``coeff``
 and ``rational`` and around each ``index``, but not inside a number or
 between ``e`` and its digits or ``{``.  Digits, in numbers and blade
 indices alike, are the ASCII digits 0-9, and a number or index has at
-most ``MAX_DIGITS`` (4300) of them.  A coefficient, of this text or of the
-structured form ``mv_from_dict`` reads, is always read exactly, as an int or
-a Fraction; on the float backend the Multivector constructor rounds it to
-the nearest float and refuses one that overflows.
+most ``MAX_DIGITS`` (4300) of them.  A coefficient, of this text or a string
+of the structured form ``mv_from_dict`` reads (a signed ``rational``, no
+space), is read exactly, as an int or a Fraction; on the float backend the
+Multivector constructor rounds it to the nearest float, refusing overflow.
 ``0`` is the zero multivector (a scalar term with coefficient 0).  Complex
 coefficients are written as separate real and imaginary terms, e.g.
 ``2*e12 + 3i*e12``.  Formatting always produces the canonical form: terms
@@ -31,7 +31,9 @@ import math
 import re
 from fractions import Fraction
 
-from .algebra import COMPLEX, EXACT, REAL, Multivector, Signature, blade_indices, mask_from_indices
+from .algebra import (
+    COMPLEX, EXACT, REAL, Multivector, Signature, _accumulate, blade_indices, mask_from_indices,
+)
 from .errors import AlgebraError, ParseError
 
 
@@ -44,6 +46,8 @@ def _fail_at(text: str, pos: int, msg: str):
 
 #: The one number lexeme of both grammars, this one and the DSL's.
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+#: A coefficient string of the structured form: a signed number or integer fraction of the text.
+_EXACT_TEXT = re.compile(r"[+-]?" + _NUMBER.pattern + r"(?:/[0-9]+)?")
 
 #: Most digits a number may have: the interpreter's default int-string
 #: conversion limit, which would otherwise end a longer one in a ValueError.
@@ -67,9 +71,9 @@ _TERM = re.compile(
           | (?P<unit>i) )
         \s* (?P<star>\*\s*)?
     )?
-    (?P<blade>e (?: \{ (?P<braced>\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*) \}   # e{1,12}
-                  | (?P<bad>\{[^}]*\}?)                              # a malformed e{...}
-                  | (?P<digits>[0-9]*) ))?                            # e, e12
+    (?P<blade>e (?: \{ (?P<braced>[0-9,\s]*) \}      # e{1,12}, read by parse_mv
+                  | (?P<bad>\{[^}]*\}?)                # e{1_0}: int() must not read it
+                  | (?P<digits>[0-9]*) ))?              # e, e12
     \s*
     """.replace("NUMBER", _NUMBER.pattern),
     re.VERBOSE,
@@ -84,14 +88,22 @@ def _fail_near(text: str, pos: int, msg: str):
     _fail_at(text, pos, msg)
 
 
-def _bad_index_list(text: str, at: int, body: str):
-    """Raise the ParseError for an ``e{...}`` blade at ``at`` that ``_TERM`` did not accept."""
-    if not body.endswith("}"):
-        _fail_at(text, at, "unterminated blade index list")
-    for part in body[1:-1].split(","):
-        part = part.strip()
+def _index_mask(text: str, at: int, parts, n: int) -> int:
+    """Mask of the index texts ``parts``, else a ParseError at ``at``: bad, then long, then misplaced."""
+    parts = [part.strip() for part in parts]
+    for part in parts:
         if not (part.isascii() and part.isdigit()):
             _fail_at(text, at, f"bad blade index {part!r}")
+    _check_digits(text, at, max(parts, key=len))
+    prev = mask = 0
+    for a in map(int, parts):
+        if not prev < a <= n:
+            if 1 <= a <= n:
+                _fail_at(text, at, "blade indices must be strictly increasing")
+            _fail_at(text, at, f"blade index {a} out of range 1..{n}")
+        prev = a
+        mask |= 1 << (a - 1)
+    return mask
 
 
 def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT) -> Multivector:
@@ -100,10 +112,11 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
     terms = []
     pos = 0
     end = len(text)
+    raw = backend == EXACT and field in (REAL, COMPLEX)  # else the constructor rounds or refuses
     while True:
         m = _TERM.match(text, pos)
         sign, num, slash, den, imag, unit, star, blade, braced, bad, digits = m.groups()
-        if terms and sign is None:
+        if pos and sign is None:
             _fail_near(text, pos, f"expected '+' or '-', got {text[pos]!r}")
         if num is not None:
             if len(num) > MAX_DIGITS:
@@ -127,38 +140,42 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
         if imag is not None and field != COMPLEX:
             at = m.start("num" if num is not None else "unit")
             _fail_at(text, at, "imaginary coefficient needs the complex field")
-        mask = 0
+        mask = prev = 0
         if blade is None:
             if star is not None:
                 _fail_near(text, m.end("star"), "expected blade after '*'")
         else:
-            at = m.start("blade")
             if star is None and (num is not None or unit is not None):
-                _fail_at(text, at, "coefficient runs into a blade; write '*' between them")
+                _fail_at(text, m.start("blade"), "coefficient runs into a blade; write '*' between them")
             if braced is not None:
                 indices = braced.split(",")
             elif bad is not None:
-                _bad_index_list(text, at, bad)
+                if not bad.endswith("}"):
+                    _fail_at(text, m.start("blade"), "unterminated blade index list")
+                _index_mask(text, m.start("blade"), bad[1:-1].split(","), n)  # raises
+            elif digits and n > 9:
+                _fail_at(text, m.start("blade"), "digit blade form is ambiguous for n > 9; use e{i,j,...}")
             else:
-                if digits and n > 9:
-                    _fail_at(text, at, "digit blade form is ambiguous for n > 9; use e{i,j,...}")
                 indices = digits
-            if braced is not None and len(braced) > MAX_DIGITS:
-                for index in indices:
-                    _check_digits(text, at, index.strip())
-            prev = 0
-            for a in map(int, indices):
-                if not prev < a <= n:
-                    if 1 <= a <= n:
-                        _fail_at(text, at, "blade indices must be strictly increasing")
-                    _fail_at(text, at, f"blade index {a} out of range 1..{n}")
-                prev = a
-                mask |= 1 << (a - 1)
+            try:
+                if braced is not None and len(braced) > MAX_DIGITS:
+                    raise ValueError  # count each index's digits before int() reads it
+                for a in map(int, indices):
+                    if not prev < a <= n:
+                        raise ValueError
+                    prev = a
+                    mask |= 1 << (a - 1)
+            except ValueError:  # a bad, long or misplaced index, or a space int() keeps
+                mask = _index_mask(text, m.start("blade"), indices, n)
         if sign == "-":
             value = -value
+        if not value:
+            raw = False  # the constructor drops it, or adds it: e1 + 0.0*e1 holds Fraction(1)
         terms.append((mask, (value, 0) if imag is None else (0, value)))
         pos = m.end()
         if pos == end:
+            if raw:  # exact, range-checked terms: merge them without the constructor's re-check
+                return Multivector._raw(sig, field, backend, _accumulate({}, terms))
             return Multivector(sig, terms, field, backend)
 
 
@@ -241,7 +258,7 @@ def _blade_text(mask: int, n: int) -> str:
         if size > BYTE_TEXT_MAX:  # n > 64, so the brace form
             return "e{" + ",".join(map(str, blade_indices(mask))) + "}"
         table = _grow_byte_text(brace, size)
-    parts = [row[b] for row, b in zip(table, mask.to_bytes(size, "little")) if b]
+    parts = filter(None, map(list.__getitem__, table, mask.to_bytes(size, "little")))
     return "e{" + ",".join(parts) + "}" if brace else "e" + "".join(parts)
 
 
@@ -264,14 +281,9 @@ def mv_to_dict(u: Multivector) -> dict:
 
 def _read_exact(text):
     """Exact value of a coefficient: an int, else a Fraction (``a/b``, decimals)."""
-    if type(text) is str:
-        try:
-            return int(text)
-        except ValueError:
-            pass
     try:
-        if type(text) is str and "e" in text.lower():
-            raise ValueError  # an exponent: Fraction("1e99999999") would build all its digits
+        if type(text) is str and not _EXACT_TEXT.fullmatch(text):
+            raise ValueError  # " 12 ", "1_000", ".5", "1e9": Fraction("1e99999999") builds every digit
         value = Fraction(text)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise AlgebraError(

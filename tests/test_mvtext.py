@@ -179,6 +179,77 @@ def test_malformed_literal_fails_at_its_position(text, n, field, line, col):
     assert (info.value.line, info.value.col) == (line, col)
 
 
+# (literal, message with its position) at n = 3: a malformed index is named before one out of
+# range or order, wherever it stands in the list
+INDEX_ERRORS = [
+    ("e{1,,2}", "bad blade index '' (line 1, column 1)"),
+    ("e{ }", "bad blade index '' (line 1, column 1)"),
+    ("e{1 2}", "bad blade index '1 2' (line 1, column 1)"),
+    ("e{1,}", "bad blade index '' (line 1, column 1)"),
+    ("e{1,201\xa0,}", "bad blade index '' (line 1, column 1)"),
+    ("e{2,1}", "blade indices must be strictly increasing (line 1, column 1)"),
+    ("e{0}", "blade index 0 out of range 1..3 (line 1, column 1)"),
+    ("e{1,2", "unterminated blade index list (line 1, column 1)"),
+    ("e{1,a}", "bad blade index 'a' (line 1, column 1)"),
+    ("e{١}", "bad blade index '١' (line 1, column 1)"),
+    ("e{1_0}", "bad blade index '1_0' (line 1, column 1)"),
+    ("0 1", "expected '+' or '-', got '1' (line 1, column 3)"),
+    ("2 + e{3, 1}", "blade indices must be strictly increasing (line 1, column 5)"),
+]
+
+
+@pytest.mark.parametrize("text, message", INDEX_ERRORS)
+def test_blade_index_errors_name_the_first_fault(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_mv(text, Signature(3, 0))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("space", [chr(c) for c in range(0x110000) if chr(c).isspace()], ids=ascii)
+def test_every_space_inside_an_index_list_reads_as_a_space(space):
+    # int() keeps U+001C..U+001F, which str.isspace and the grammar's \s count as spaces
+    text = "e{ 1 , 2 }".replace(" ", space)
+    assert parse_mv(text, Signature(3, 0)) == parse_mv("e{1,2}", Signature(3, 0))
+
+
+# (numeral, value) pairs a literal term may carry, zeros of both types among them
+_NUMERALS = [("0", 0), ("3", 3), ("10", 10), ("0.0", Fraction(0)), ("2.5", Fraction(5, 2)),
+             ("1/2", Fraction(1, 2)), ("0/4", Fraction(0)), ("2.0", Fraction(2))]
+
+
+def _random_literal(rng, n, field):
+    """A literal of random terms, some on one blade, and the (mask, (re, im)) list it spells."""
+    pieces, terms = [], []
+    for _ in range(rng.randint(1, 8)):
+        mask = rng.choice((0, 1, rng.getrandbits(n)))
+        numeral, value = rng.choice(_NUMERALS)
+        imag = field == COMPLEX and rng.random() < 0.4
+        sign = rng.choice("+-")
+        blade = "e{" + ",".join(map(str, blade_indices(mask))) + "}" if mask else "e"
+        pieces.append(f"{sign} {numeral}{'i' if imag else ''}*{blade}")
+        value = -value if sign == "-" else value
+        terms.append((mask, (0, value) if imag else (value, 0)))
+    return " ".join(pieces), terms
+
+
+def _typed(tmap):
+    return {mask: tuple((type(v), v) for v in pair) for mask, pair in tmap.items()}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_parse_gives_the_constructors_terms(rng, field, backend):
+    sig = Signature(5, 0)
+    cases = [("e1 + e1", [(1, (1, 0))] * 2), ("0*e1 + e2", [(1, (0, 0)), (2, (1, 0))]),
+             ("e1 - e1", [(1, (1, 0)), (1, (-1, 0))]), ("2.0", [(0, (Fraction(2), 0))]),
+             ("1/2*e1 + 1/2*e1", [(1, (Fraction(1, 2), 0))] * 2),
+             ("e1 + 0.0*e1", [(1, (1, 0)), (1, (Fraction(0), 0))])]
+    cases += [_random_literal(rng, sig.n, field) for _ in range(300)]
+    for text, terms in cases:
+        got = parse_mv(text, sig, field, backend)._terms
+        assert _typed(got) == _typed(Multivector(sig, terms, field, backend)._terms), text
+
+
 def test_imaginary_coefficient_in_the_real_field_fails_at_the_coefficient():
     sig = Signature(2, 0)
     for text, col in (("1 + 3i*e1", 5), ("i", 1), ("e1 - 2.5i", 6)):
@@ -451,6 +522,18 @@ def test_unprintable_or_unreadable_coefficients_are_algebra_errors():
         }
         with pytest.raises(AlgebraError, match="bad coefficient"):
             mv_from_dict(data)
+
+
+def test_dict_form_reads_the_numerals_of_the_text_grammar():
+    def read(value):
+        return mv_from_dict(_one_term(EXACT, value)).coeff(0b01)[0]
+
+    for value in (" 12 ", "1_000", "١٢", "1_0.5", ".5", "5.", "1e3", "0x10", "+-1", "1 /2"):
+        with pytest.raises(AlgebraError, match="bad coefficient"):
+            read(value)
+    for value, expected in (("12", 12), ("-3/4", Fraction(-3, 4)), ("+2.50", Fraction(5, 2)),
+                            ("007", 7), (7, 7), (0.5, Fraction(1, 2))):
+        assert read(value) == expected and type(read(value)) is type(expected)
 
 
 def test_dict_form_reads_ints_as_ints():
