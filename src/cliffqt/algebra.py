@@ -193,29 +193,28 @@ class Multivector:
     __slots__ = ("sig", "field", "backend", "_terms")
 
     def __init__(self, sig: Signature, terms=None, field: str = REAL, backend: str = EXACT):
+        """Multivector from (blade mask, coefficient) items, a dict or an iterable.
+
+        Each coefficient is coerced once by _coerce_pair; a zero term is skipped and the
+        rest merge by _accumulate, so no value type depends on term order.  A float map
+        is finished by _check_finite.  A mask must be an int in 0..2^n - 1."""
         if field not in (REAL, COMPLEX):
             raise AlgebraError(f"unknown field {field!r}")
         if backend not in (EXACT, FLOAT):
             raise AlgebraError(f"unknown backend {backend!r}")
-        tmap: dict[int, tuple] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            limit = 1 << sig.n
-            for mask, value in items:
-                if not 0 <= mask < limit:
-                    raise AlgebraError(f"blade mask {mask:#x} invalid for n={sig.n}")
-                re, im = _coerce_pair(value, field, backend)
-                cur = tmap.get(mask)
-                if cur is not None:
-                    re, im = _coerce_pair((re + cur[0], im + cur[1]), field, backend)
-                if re == 0 and im == 0:
-                    tmap.pop(mask, None)
-                else:
-                    tmap[mask] = (re, im)
+        pairs = []
+        for mask, value in terms.items() if isinstance(terms, dict) else terms or ():
+            if type(mask) is not int or mask < 0 or mask >> sig.n:
+                shown = f"{mask:#x}" if type(mask) is int else repr(mask)
+                raise AlgebraError(f"blade mask {shown} invalid for n={sig.n}")
+            c = _coerce_pair(value, field, backend)
+            if c[0] or c[1]:
+                pairs.append((mask, c))
+        tmap = _accumulate({}, pairs)
         self.sig = sig
         self.field = field
         self.backend = backend
-        self._terms = tmap
+        self._terms = _check_finite(tmap) if backend == FLOAT else tmap
 
     @classmethod
     def _raw(cls, sig, field, backend, tmap):
@@ -241,8 +240,6 @@ class Multivector:
     def basis_blade(cls, sig, indices, coeff=1, field=REAL, backend=EXACT):
         """Blade from a mask (int) or an iterable of 1-based indices."""
         mask = indices if isinstance(indices, int) else mask_from_indices(indices, sig.n)
-        if isinstance(indices, int) and not 0 <= mask < (1 << sig.n):
-            raise AlgebraError(f"blade mask {mask:#x} invalid for n={sig.n}")
         return cls(sig, {mask: coeff}, field, backend)
 
     # ---------------------------------------------------------------- inspection

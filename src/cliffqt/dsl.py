@@ -39,10 +39,10 @@ conjugation's bits flipped at every symbol, and with the coefficient
 conjugated under an antilinear one.  When a conjugation maps the form to
 +-itself, tested word by word with no conjugated copy built, the type is
 intersected with that sign's eigenspace.  That second pass is what recovers
-the U*rev(U)-style identities that no per-node rule can see.  Its signs
-depend on the tree and the field alone, so they are kept for the last tree
-inferred: ``check_soundness`` at a second signature reuses them and still
-folds the closure tables afresh.
+the U*rev(U)-style identities that no per-node rule can see.  Its type, the
+intersection of those eigenspaces, depends on the tree and the field alone,
+so it is kept for the last tree inferred: ``check_soundness`` at a second
+signature reuses it and still folds the closure tables afresh.
 """
 
 from __future__ import annotations
@@ -581,41 +581,37 @@ def _infer_compositional(expr: Expr, env: TypeEnv) -> TypeSet:
 
 
 def infer_type(expr: Expr, env: TypeEnv) -> TypeSet:
-    """Sound TypeSet over-approximation of the expression's value.
-
-    When the normal form would exceed ``MAX_MONOMIALS``, the refinement pass
-    is skipped and the compositional type is returned.
-    """
-    result = _infer_compositional(expr, env)
-    symmetries = _refinement(expr, env.field)[3]
-    if symmetries == "cancelled":
-        # the normal form cancelled everything: the value is identically zero
-        return TypeSet.empty(env.field)
-    for bits, sign in symmetries or ():
-        result = result & eigenspace(bits, sign, env.field)
-    return result
+    """Sound TypeSet over-approximation of the expression's value: the
+    compositional type cut down by the refinement pass's type."""
+    return _infer_compositional(expr, env) & _refinement(expr, env.field)[3]
 
 
-# (tree, field, sorted free symbols, symmetries) of the last tree refined, a
+# (tree, field, sorted free symbols, refined type) of the last tree refined, a
 # function of the tree and field alone; holding the tree keeps its id unused.
 _last_refinement: tuple = (None, None, (), None)
 
 
 def _refinement(expr: Expr, field: str) -> tuple:
-    """That record for expr, made unless expr is the last tree.  Symmetries are
-    the (conjugation bits, sign) pairs that map the normal form to +-itself,
-    "cancelled" when the form is zero, or None past ``MAX_MONOMIALS``."""
+    """That record for expr, made unless expr is the last tree.  The refined
+    type is full past ``MAX_MONOMIALS``, empty when the normal form cancels,
+    and otherwise the intersection of the eigenspaces of the conjugations that
+    map the form to +-itself."""
     global _last_refinement
     record = _last_refinement
     if record[0] is not expr or record[1] != field:
+        refined = TypeSet.full(field)
         try:
             base = canonical_form(expr)
         except _TooManyMonomials:
-            symmetries = None
+            pass
         else:
-            signs = ((bits, _eigen_sign(base, bits)) for bits in conjugation_codes(field))
-            symmetries = tuple(pair for pair in signs if pair[1]) if base else "cancelled"
-        record = _last_refinement = (expr, field, tuple(sorted(free_symbols(expr))), symmetries)
+            if not base:
+                refined = TypeSet.empty(field)
+            for bits in conjugation_codes(field):
+                sign = _eigen_sign(base, bits)
+                if sign:
+                    refined &= eigenspace(bits, sign, field)
+        record = _last_refinement = (expr, field, tuple(sorted(free_symbols(expr))), refined)
     return record
 
 

@@ -27,6 +27,7 @@ sorted by (rank, mask), real part before imaginary, explicit ``*``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -112,7 +113,6 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
     terms = []
     pos = 0
     end = len(text)
-    raw = backend == EXACT and field in (REAL, COMPLEX)  # else the constructor rounds or refuses
     while True:
         m = _TERM.match(text, pos)
         sign, num, slash, den, imag, unit, star, blade, braced, bad, digits = m.groups()
@@ -169,14 +169,13 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
                 mask = _index_mask(text, m.start("blade"), indices, n)
         if sign == "-":
             value = -value
-        if not value:
-            raw = False  # the constructor drops it, or adds it: e1 + 0.0*e1 holds Fraction(1)
-        terms.append((mask, (value, 0) if imag is None else (0, value)))
+        if value:  # a zero term is skipped, as the constructor skips it
+            terms.append((mask, (value, 0) if imag is None else (0, value)))
         pos = m.end()
         if pos == end:
-            if raw:  # exact, range-checked terms: merge them without the constructor's re-check
+            if backend == EXACT and field in (REAL, COMPLEX):  # range-checked: merge, no re-check
                 return Multivector._raw(sig, field, backend, _accumulate({}, terms))
-            return Multivector(sig, terms, field, backend)
+            return Multivector(sig, terms, field, backend)  # it rounds or refuses
 
 
 def _format_float(v: float) -> str:
@@ -228,37 +227,30 @@ def format_mv(u: Multivector) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-# _BYTE_TEXT[brace][k][b]: the indices of the set bits of ``b << 8*k``, in
-# the digit form (brace 0, "124") or the brace form (brace 1, "1,2,4"), for
-# k < BYTE_TEXT_MAX (generators 1..64); a blade with a higher generator joins
-# its blade_indices.  The tables grow by whole-list replacement, so a racing
-# thread sees a shorter table, never a wrong one.
-_BYTE_TEXT = [[], []]
+#: Byte offsets the blade-text tables cover (generators 1..64); a blade with a
+#: higher generator joins its blade_indices.
 BYTE_TEXT_MAX = 8
 
 
-def _grow_byte_text(brace: int, size: int) -> list:
-    """The table of the given form, extended to ``size`` byte offsets."""
-    table = _BYTE_TEXT[brace]
+@functools.cache
+def _byte_text(brace: int) -> list:
+    """Table [k][b] of the indices of the set bits of ``b << 8*k``, k < BYTE_TEXT_MAX,
+    in the digit form (brace 0, "124") or the brace form (brace 1, "1,2,4")."""
     sep = "," if brace else ""
-    table = _BYTE_TEXT[brace] = table + [
+    return [
         [sep.join(str(8 * k + j + 1) for j in range(8) if b >> j & 1) for b in range(256)]
-        for k in range(len(table), size)
+        for k in range(BYTE_TEXT_MAX)
     ]
-    return table
 
 
 def _blade_text(mask: int, n: int) -> str:
     if not mask:
         return "e"
     size = (mask.bit_length() + 7) >> 3
+    if size > BYTE_TEXT_MAX:  # n > 64, so the brace form
+        return "e{" + ",".join(map(str, blade_indices(mask))) + "}"
     brace = n > 9
-    table = _BYTE_TEXT[brace]
-    if len(table) < size:
-        if size > BYTE_TEXT_MAX:  # n > 64, so the brace form
-            return "e{" + ",".join(map(str, blade_indices(mask))) + "}"
-        table = _grow_byte_text(brace, size)
-    parts = filter(None, map(list.__getitem__, table, mask.to_bytes(size, "little")))
+    parts = filter(None, map(list.__getitem__, _byte_text(brace), mask.to_bytes(size, "little")))
     return "e{" + ",".join(parts) + "}" if brace else "e" + "".join(parts)
 
 

@@ -64,7 +64,7 @@ from .algebra import (
     Signature,
     _accumulate,
     blade_indices,
-    sign_mask,
+    swap_mask,
 )
 from .errors import AlgebraError
 
@@ -408,17 +408,17 @@ def table_witnesses(sig: Signature) -> dict:
     """First blade pair ``(a, b)`` for each ``(op, row, column, atom)`` of the tables.
 
     [e_a, e_b] and {e_a, e_b} are (s1 -+ s2) e_{a xor b} with s1, s2 the two
-    blade product signs, so every pair lands in exactly one table.  Pairs are
+    blade product signs, which differ exactly when e_a and e_b anticommute
+    (:func:`swap_mask`), so every pair lands in exactly one table.  Pairs are
     visited in (a, b) order and the keys keep the order they were found in.
     """
     size = 1 << sig.n
-    masks = [sign_mask(a, sig.p) for a in range(size)]
     found: dict = {}
     for a in range(size):
-        sa = masks[a]
+        ta = swap_mask(a)
         ka = a.bit_count() & 3
         for b in range(size):
-            op = _TABLE_OPS[((b & sa).bit_count() ^ (a & masks[b]).bit_count()) & 1]
+            op = _TABLE_OPS[(b & ta).bit_count() & 1]
             found.setdefault((op, ka, b.bit_count() & 3, (a ^ b).bit_count() & 3), (a, b))
     return found
 

@@ -502,3 +502,25 @@ def test_no_operation_stores_a_zero_term(field, backend):
             unary += [x.complex_conjugate(), x.pseudo_hermitian()]
         for y in unary:
             _assert_no_zero_term(y)
+
+
+def test_constructor_value_types_do_not_depend_on_term_order():
+    sig = Signature(3, 0)
+    for terms in ([(1, 1), (1, Fraction(0))], [(1, Fraction(0)), (1, 1)]):
+        re, im = Multivector(sig, terms)._terms[1]
+        assert (type(re), type(im)) == (int, int) and re == 1, terms
+
+
+@pytest.mark.parametrize("mask", [1.5, 1.0, "1", None, True, False])
+def test_constructor_refuses_a_mask_that_is_not_an_int(mask):
+    with pytest.raises(AlgebraError, match="blade mask .* invalid for n=3"):
+        Multivector(Signature(3, 0), {mask: 1})
+
+
+def test_an_int_mask_out_of_range_keeps_its_message():
+    sig = Signature(3, 0)
+    for make in (lambda: Multivector(sig, {8: 1}), lambda: Multivector.basis_blade(sig, 8)):
+        with pytest.raises(AlgebraError, match="^blade mask 0x8 invalid for n=3$"):
+            make()
+    with pytest.raises(AlgebraError, match="^blade mask -0x1 invalid for n=3$"):
+        Multivector.basis_blade(sig, -1)

@@ -1,4 +1,5 @@
 import json
+import signal
 import time
 
 import pytest
@@ -452,3 +453,58 @@ def test_float_arithmetic_overflow_exits_2(capsys):
     big = "1" + "0" * 200 + "*e1"
     code, out, err = run(capsys, "mul", "--backend", "float", "--sig", "2,0", big, big)
     assert code == 2 and not out and "overflow" in err
+
+
+# Hostile inputs: each must end with an exit code, never a traceback, within
+# _BUDGET_S of wall time.  Slow but bounded inputs (a dense bracket at
+# Cl(12,0), --density 1 at n = 21, a 3000 x 3000-term product) are left out:
+# each takes longer than the budget by design.
+_BUDGET_S = 2.0
+_BIG_SIG = ("--sig", "10000000,0")
+_N4300, _N4301 = "9" * 4300, "9" * 4301
+_HOSTILE = {
+    "classify-huge-n": ("classify", *_BIG_SIG, "e{10000000}"),
+    "mul-huge-n": ("mul", *_BIG_SIG, "e{10000000}", "e{1} + e{10000000}"),
+    "check-huge-n-5e-324": ("check", *_BIG_SIG, "--trials", "1", "--density", "5e-324", "x"),
+    "check-huge-n-1e-12": ("check", *_BIG_SIG, "--trials", "1", "--density", "1e-12", "x"),
+    "check-1e-300": ("check", "--sig", "20,0", "--density", "1e-300", "x"),
+    "density-0": ("check", "--sig", "3,0", "--density", "0", "x"),
+    "density-nan": ("check", "--sig", "3,0", "--density", "nan", "x"),
+    "density-inf": ("check", "--sig", "3,0", "--density", "inf", "x"),
+    "trials-negative": ("check", "--sig", "3,0", "--trials", "-1", "x"),
+    "number-4300": ("classify", "--sig", "3,0", _N4300),
+    "number-4301": ("classify", "--sig", "3,0", _N4301),
+    "folded-4300": ("check", "--sig", "3,0", "--trials", "1", f"let x:1; {_N4300}*{_N4300}*x"),
+    "folded-4301": ("check", "--sig", "3,0", "--trials", "1", f"let x:1; {_N4301}*{_N4301}*x"),
+    "nested-99": ("infer", "let x:1; " + "rev(" * 99 + "x" + ")" * 99),
+    "nested-101": ("infer", "let x:1; " + "rev(" * 101 + "x" + ")" * 101),
+    "sum-10^4": ("check", "--sig", "3,0", "--trials", "1", "let x:1; " + " + ".join(["x"] * 10**4)),
+    "indices-10^4": ("classify", "--sig", "3,0", "e{" + ",".join(["1"] * 10**4) + "}"),
+    "selftest-9": ("selftest", "--max-n", "9"),
+}
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("argv", list(_HOSTILE.values()), ids=list(_HOSTILE))
+def test_hostile_input_ends_in_an_exit_code_within_budget(capsys, argv):
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, _BUDGET_S)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    except _OverBudget:
+        pytest.fail(f"ran past {_BUDGET_S} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err, err[-500:]

@@ -19,7 +19,7 @@ from cliffqt import (
     parse_mv,
 )
 from cliffqt.algebra import blade_indices
-from cliffqt.mvtext import _BYTE_TEXT, BYTE_TEXT_MAX, MAX_DIGITS, _blade_text
+from cliffqt.mvtext import BYTE_TEXT_MAX, MAX_DIGITS, _blade_text, _byte_text
 
 from conftest import random_mv
 
@@ -248,6 +248,12 @@ def test_parse_gives_the_constructors_terms(rng, field, backend):
     for text, terms in cases:
         got = parse_mv(text, sig, field, backend)._terms
         assert _typed(got) == _typed(Multivector(sig, terms, field, backend)._terms), text
+
+
+@pytest.mark.parametrize("text", ["e1 + 0.0*e1", "0.0*e1 + e1", "e1 + 0/2i*e1"])
+def test_a_zero_term_leaves_an_int_coefficient_an_int(text):
+    re, im = parse_mv(text, Signature(3, 0), COMPLEX)._terms[1]
+    assert (type(re), type(im)) == (int, int) and (re, im) == (1, 0)
 
 
 def test_imaginary_coefficient_in_the_real_field_fails_at_the_coefficient():
@@ -549,4 +555,4 @@ def test_blade_text_tables_stay_bounded():
         u = Multivector.basis_blade(sig, indices)
         assert format_mv(u) == "e{" + ",".join(map(str, indices)) + "}"
         assert format_mv(u) == _naive_blade_text(u.terms()[0][0], sig.n)
-    assert all(len(table) <= BYTE_TEXT_MAX for table in _BYTE_TEXT)
+    assert all(len(_byte_text(brace)) == BYTE_TEXT_MAX for brace in (0, 1))
