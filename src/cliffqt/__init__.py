@@ -11,7 +11,6 @@ from .algebra import (
     anticommutator,
     blade_indices,
     blade_mul,
-    blade_rank,
     commutator,
     mask_from_indices,
     sign_mask,

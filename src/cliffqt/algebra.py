@@ -45,6 +45,10 @@ MAX_PRODUCT_PAIRS = 1 << 24
 #: Most generators for which products read blade factors from a table.
 TABLE_MAX_N = 6
 
+#: Most generators a signature may have: 2^24 = 16,777,216.  A blade mask of
+#: n bits, and the 2^(n+1) of a draw's size guard, then stay a few MB.
+MAX_N = 1 << 24
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -54,9 +58,10 @@ class Signature:
     q: int
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
+        p, q = self.p, self.q
+        if type(p) is not int or type(q) is not int or p < 0 or q < 0 or not 1 <= p + q <= MAX_N:
             raise AlgebraError(
-                f"invalid signature ({self.p},{self.q}): need p >= 0, q >= 0, p+q >= 1"
+                f"invalid signature ({p!r},{q!r}): need ints p >= 0, q >= 0, 1 <= p+q <= {MAX_N}"
             )
 
     @property
@@ -70,10 +75,6 @@ class Signature:
         return 1 if a <= self.p else -1
 
 
-def blade_rank(mask: int) -> int:
-    return mask.bit_count()
-
-
 def blade_indices(mask: int) -> tuple[int, ...]:
     """1-based generator indices of a blade mask, in increasing order."""
     out = []
@@ -85,14 +86,16 @@ def blade_indices(mask: int) -> tuple[int, ...]:
 
 
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
-    mask = 0
+    """Mask of 1-based generator indices, strictly increasing in 1..n as the text grammar
+    writes them: order carries a sign (e3 e1 = -e13), so an unsorted or repeated list is refused."""
+    prev = mask = 0
     for a in indices:
-        if type(a) is not int or not 1 <= a <= n:
-            raise AlgebraError(f"generator index {a!r} out of range 1..{n}")
-        bit = 1 << (a - 1)
-        if mask & bit:
-            raise AlgebraError(f"duplicate generator index {a} in blade")
-        mask |= bit
+        if type(a) is not int or not prev < a <= n:
+            if type(a) is int and 1 <= a <= n:
+                raise AlgebraError("blade indices must be strictly increasing")
+            raise AlgebraError(f"blade index {a!r} out of range 1..{n}")
+        prev = a
+        mask |= 1 << (a - 1)
     return mask
 
 
@@ -131,26 +134,28 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     return (-1 if (b & sign_mask(a, sig.p)).bit_count() & 1 else 1), a ^ b
 
 
-def _is_rational(v) -> bool:
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+#: Coefficient types per backend, never a bool; Fraction last, as its ABC isinstance is slow.
+_NUMBER_TYPES = {EXACT: (int, Fraction), FLOAT: (float, int, Fraction)}
+
+
+def _is_scalar(v) -> bool:
+    """Whether v is a coefficient of either backend; ``scale`` refuses a float on the exact one."""
+    return isinstance(v, _NUMBER_TYPES[FLOAT]) and type(v) is not bool
 
 
 def _coerce_pair(value, field: str, backend: str) -> tuple:
-    """Normalize a user coefficient to an (re, im) pair for the backend."""
+    """Normalize a user coefficient, a number or an (re, im) pair, for the backend."""
     if isinstance(value, tuple):
         if len(value) != 2:
             raise AlgebraError(f"coefficient pair must have two entries, got {value!r}")
         re, im = value
-    elif isinstance(value, complex):
-        re, im = value.real, value.imag
     else:
         re, im = value, 0
-    if backend == EXACT:
-        if not _is_rational(re) or not _is_rational(im):
-            raise AlgebraError(
-                f"exact backend needs int or Fraction coefficients, got {value!r}"
-            )
-    else:
+    kinds = _NUMBER_TYPES[backend]
+    if not (isinstance(re, kinds) and isinstance(im, kinds)) or bool in (type(re), type(im)):
+        names = "int or Fraction" if backend == EXACT else "int, Fraction or float"
+        raise AlgebraError(f"{backend} backend needs {names} coefficients, got {value!r:.40}")
+    if backend == FLOAT:
         try:
             re = float(re)
             im = float(im)
@@ -196,20 +201,25 @@ class Multivector:
         """Multivector from (blade mask, coefficient) items, a dict or an iterable.
 
         Each coefficient is coerced once by _coerce_pair; a zero term is skipped and the
-        rest merge by _accumulate, so no value type depends on term order.  A float map
-        is finished by _check_finite.  A mask must be an int in 0..2^n - 1."""
+        rest merge by _accumulate, so no value type depends on term order.  A float map is
+        finished by _check_finite.  A mask is an int in 0..2^n - 1.  Each refusal is an AlgebraError."""
         if field not in (REAL, COMPLEX):
             raise AlgebraError(f"unknown field {field!r}")
         if backend not in (EXACT, FLOAT):
             raise AlgebraError(f"unknown backend {backend!r}")
         pairs = []
-        for mask, value in terms.items() if isinstance(terms, dict) else terms or ():
-            if type(mask) is not int or mask < 0 or mask >> sig.n:
-                shown = f"{mask:#x}" if type(mask) is int else repr(mask)
-                raise AlgebraError(f"blade mask {shown} invalid for n={sig.n}")
-            c = _coerce_pair(value, field, backend)
-            if c[0] or c[1]:
-                pairs.append((mask, c))
+        try:
+            for mask, value in terms.items() if isinstance(terms, dict) else terms or ():
+                if type(mask) is not int or mask < 0 or mask >> sig.n:
+                    shown = f"{mask:#x}" if type(mask) is int else repr(mask)
+                    raise AlgebraError(f"blade mask {shown} invalid for n={sig.n}")
+                c = _coerce_pair(value, field, backend)
+                if c[0] or c[1]:
+                    pairs.append((mask, c))
+        except AlgebraError:
+            raise
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise AlgebraError(f"terms must be (mask, coefficient) pairs, got {terms!r:.40}") from None
         tmap = _accumulate({}, pairs)
         self.sig = sig
         self.field = field
@@ -238,7 +248,7 @@ class Multivector:
 
     @classmethod
     def basis_blade(cls, sig, indices, coeff=1, field=REAL, backend=EXACT):
-        """Blade from a mask (int) or an iterable of 1-based indices."""
+        """Blade from a mask (int) or strictly increasing 1-based indices."""
         mask = indices if isinstance(indices, int) else mask_from_indices(indices, sig.n)
         return cls(sig, {mask: coeff}, field, backend)
 
@@ -336,14 +346,14 @@ class Multivector:
         return Multivector._raw(self.sig, self.field, self.backend, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, Fraction)) and not isinstance(other, bool):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
     # ---------------------------------------------------------------- products
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)) and not isinstance(other, bool):
+        if _is_scalar(other):
             return self.scale(other)
         if not isinstance(other, Multivector):
             return NotImplemented

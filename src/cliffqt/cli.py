@@ -38,12 +38,7 @@ from .qtype import (
 )
 from . import verify
 
-_TABLES = {
-    "comm": ("commutator", _COMM_MAIN),
-    "commutator": ("commutator", _COMM_MAIN),
-    "acomm": ("anticommutator", _ACOMM_MAIN),
-    "anticommutator": ("anticommutator", _ACOMM_MAIN),
-}
+_TABLES = {"comm": ("commutator", _COMM_MAIN), "acomm": ("anticommutator", _ACOMM_MAIN)}
 
 
 def _parse_sig(text: str) -> Signature:

@@ -96,15 +96,10 @@ def _index_mask(text: str, at: int, parts, n: int) -> int:
         if not (part.isascii() and part.isdigit()):
             _fail_at(text, at, f"bad blade index {part!r}")
     _check_digits(text, at, max(parts, key=len))
-    prev = mask = 0
-    for a in map(int, parts):
-        if not prev < a <= n:
-            if 1 <= a <= n:
-                _fail_at(text, at, "blade indices must be strictly increasing")
-            _fail_at(text, at, f"blade index {a} out of range 1..{n}")
-        prev = a
-        mask |= 1 << (a - 1)
-    return mask
+    try:
+        return mask_from_indices(map(int, parts), n)
+    except AlgebraError as exc:
+        _fail_at(text, at, str(exc))
 
 
 def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT) -> Multivector:
@@ -202,7 +197,7 @@ def _format_number(v) -> str:
 def format_mv(u: Multivector) -> str:
     """Canonical text form; ``parse_mv`` of the result reproduces ``u``."""
     pieces = []
-    n = u.sig.n
+    table = _byte_text(u.sig.n > 9)
     for mask, (re, im) in u.terms():
         for value, imag in ((re, False), (im, True)):
             if value == 0:
@@ -215,7 +210,7 @@ def format_mv(u: Multivector) -> str:
                 else:
                     body = _format_number(mag)
             else:
-                blade = _blade_text(mask, n)
+                blade = _blade_text(mask, table)
                 if mag == 1:
                     body = ("i*" if imag else "") + blade
                 else:
@@ -233,25 +228,25 @@ BYTE_TEXT_MAX = 8
 
 
 @functools.cache
-def _byte_text(brace: int) -> list:
+def _byte_text(brace: bool) -> list:
     """Table [k][b] of the indices of the set bits of ``b << 8*k``, k < BYTE_TEXT_MAX,
-    in the digit form (brace 0, "124") or the brace form (brace 1, "1,2,4")."""
+    in the digit form (brace False, "124") or comma-led for the brace form (",1,2,4")."""
     sep = "," if brace else ""
     return [
-        [sep.join(str(8 * k + j + 1) for j in range(8) if b >> j & 1) for b in range(256)]
+        ["".join(sep + str(8 * k + j + 1) for j in range(8) if b >> j & 1) for b in range(256)]
         for k in range(BYTE_TEXT_MAX)
     ]
 
 
-def _blade_text(mask: int, n: int) -> str:
+def _blade_text(mask: int, table: list) -> str:
+    """Text of a blade, joined from ``table``, the ``_byte_text(n > 9)`` of its algebra."""
     if not mask:
         return "e"
     size = (mask.bit_length() + 7) >> 3
     if size > BYTE_TEXT_MAX:  # n > 64, so the brace form
         return "e{" + ",".join(map(str, blade_indices(mask))) + "}"
-    brace = n > 9
-    parts = filter(None, map(list.__getitem__, _byte_text(brace), mask.to_bytes(size, "little")))
-    return "e{" + ",".join(parts) + "}" if brace else "e" + "".join(parts)
+    text = "".join(map(list.__getitem__, table, mask.to_bytes(size, "little")))
+    return "e{" + text[1:] + "}" if text[0] == "," else "e" + text
 
 
 def mv_to_dict(u: Multivector) -> dict:

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -15,11 +16,11 @@ from cliffqt import (
     REAL,
     AlgebraError,
     Multivector,
+    ParseError,
     Signature,
     anticommutator,
     blade_indices,
     blade_mul,
-    blade_rank,
     commutator,
     format_mv,
     mask_from_indices,
@@ -46,10 +47,11 @@ def mv(text, p, q, field=REAL, backend=EXACT):
 def test_signature_validation():
     Signature(0, 1)
     Signature(3, 2)
-    with pytest.raises(AlgebraError):
-        Signature(0, 0)
-    with pytest.raises(AlgebraError):
-        Signature(-1, 2)
+    Signature(algebra.MAX_N - 1, 1)
+    for p, q in ((0, 0), (-1, 2), (algebra.MAX_N, 1), (0, algebra.MAX_N + 1), (99_999_999_999, 0),
+                 (1.5, 0), ("3", 0), (True, 0), (2, None)):
+        with pytest.raises(AlgebraError, match="invalid signature"):
+            Signature(p, q)
 
 
 def test_eta_diagonal():
@@ -111,13 +113,23 @@ def test_blade_mul_symmetric_difference():
 
 
 def test_blade_helpers():
-    assert blade_rank(0b1011) == 3
     assert blade_indices(0b1011) == (1, 2, 4)
     assert mask_from_indices((1, 2, 4), 4) == 0b1011
-    with pytest.raises(AlgebraError):
-        mask_from_indices((1, 1), 4)
-    with pytest.raises(AlgebraError):
-        mask_from_indices((5,), 4)
+    for indices in ((1, 1), (3, 1), (1, 3, 2)):
+        with pytest.raises(AlgebraError, match="^blade indices must be strictly increasing$"):
+            mask_from_indices(indices, 4)
+    for indices in ((5,), (0,), (2, 0), (True,), ("1",), (1.0,)):
+        with pytest.raises(AlgebraError, match="out of range 1..4"):
+            mask_from_indices(indices, 4)
+    # e3 e1 = -e13: every door that reads an index list refuses the order the text grammar refuses
+    sig = Signature(3, 0)
+    data = mv_to_dict(mv("e13", 3, 0))
+    data["terms"][0]["blade"] = [3, 1]
+    doors = (lambda: parse_mv("e{3,1}", sig), lambda: Multivector.basis_blade(sig, (3, 1)),
+             lambda: mv_from_dict(data))
+    for door in doors:
+        with pytest.raises((AlgebraError, ParseError), match="strictly increasing"):
+            door()
 
 
 def test_blade_indices_invert_mask_from_indices():
@@ -223,7 +235,7 @@ def test_reversion_examples():
 def test_reversion_sign_by_rank():
     sig = Signature(4, 2)
     for mask in range(1 << 6):
-        k = blade_rank(mask)
+        k = mask.bit_count()
         u = Multivector.basis_blade(sig, mask)
         want = u if (k * (k - 1) // 2) % 2 == 0 else -u
         assert u.reversion() == want
@@ -421,8 +433,8 @@ def test_dimension_counts(n):
     masks = list(range(1 << n))
     assert len(masks) == 2 ** n
     for k in range(n + 1):
-        assert sum(1 for m in masks if blade_rank(m) == k) == comb(n, k)
-    assert sum(1 for m in masks if blade_rank(m) % 2 == 0) == 2 ** (n - 1)
+        assert sum(1 for m in masks if m.bit_count() == k) == comb(n, k)
+    assert sum(1 for m in masks if m.bit_count() % 2 == 0) == 2 ** (n - 1)
 
 
 def test_equality_contract():
@@ -509,6 +521,44 @@ def test_constructor_value_types_do_not_depend_on_term_order():
     for terms in ([(1, 1), (1, Fraction(0))], [(1, Fraction(0)), (1, 1)]):
         re, im = Multivector(sig, terms)._terms[1]
         assert (type(re), type(im)) == (int, int) and re == 1, terms
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize(
+    "value", ["1.5", True, Decimal("0.1"), "abc", None, [1], 1j, (1, "2"), (True, 0), (1, 2, 3)],
+    ids=["str", "bool", "decimal", "word", "none", "list", "complex", "str-im", "bool-re", "triple"],
+)
+def test_both_backends_refuse_a_coefficient_that_is_not_a_number(backend, value):
+    sig = Signature(2, 0)
+    one = Multivector.scalar(sig, 1, COMPLEX, backend)
+    for make in (lambda: Multivector(sig, {1: value}, COMPLEX, backend),
+                 lambda: Multivector.scalar(sig, value, COMPLEX, backend),
+                 lambda: one.scale(value)):
+        with pytest.raises(AlgebraError, match="backend needs|two entries"):
+            make()
+
+
+def test_each_backend_takes_its_number_types():
+    sig = Signature(2, 0)
+    for value in (3, Fraction(1, 3), 0.5):
+        u = Multivector.scalar(sig, value, backend=FLOAT)
+        assert u.coeff(0) == (float(value), 0.0) and type(u.coeff(0)[0]) is float
+    for value in (3, Fraction(1, 3)):
+        assert Multivector.scalar(sig, value).coeff(0) == (value, 0)
+    e1 = Multivector.basis_blade(sig, (1,))
+    with pytest.raises(AlgebraError, match="exact backend needs int or Fraction"):
+        Multivector.scalar(sig, 0.5)
+    with pytest.raises(AlgebraError, match="exact backend needs int or Fraction"):
+        e1 * 0.5  # the one scalar predicate hands a float to scale, which refuses it
+    assert 2 * e1 == e1 * 2 == e1.scale(2)
+    with pytest.raises(TypeError):
+        e1 * True
+
+
+@pytest.mark.parametrize("terms", [5, [1], [(1, 2, 3)], "ab", [(1,)]])
+def test_constructor_refuses_terms_that_are_not_pairs(terms):
+    with pytest.raises(AlgebraError, match="terms must be"):
+        Multivector(Signature(3, 0), terms)
 
 
 @pytest.mark.parametrize("mask", [1.5, 1.0, "1", None, True, False])

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffqt import Multivector, Signature, cli, qtype
 from cliffqt.cli import main
-from cliffqt.mvtext import format_mv
+from cliffqt.algebra import MAX_N
+from cliffqt.mvtext import MAX_DIGITS, format_mv
 
 
 def run(capsys, *argv):
@@ -74,10 +79,15 @@ def test_tables_command(capsys):
     assert "  0: 2  3  0  1" in out
     code, out, _ = run(capsys, "tables", "acomm")
     assert "  0: 0  1  2  3" in out
-    code, js, _ = run(capsys, "tables", "commutator", "--json")
+    code, js, _ = run(capsys, "tables", "comm", "--json")
     data = json.loads(js)
+    assert data["op"] == "commutator"
     assert data["rows"][0] == ["2", "3", "0", "1"]
     assert data["rows"][2] == ["0", "1", "2", "3"]
+    for alias in ("commutator", "anticommutator"):
+        with pytest.raises(SystemExit) as info:
+            main(["tables", alias])
+        assert info.value.code == 2
 
 
 def test_infer_examples(capsys):
@@ -492,13 +502,13 @@ def _over_budget(signum, frame):
     raise _OverBudget
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
-@pytest.mark.parametrize("argv", list(_HOSTILE.values()), ids=list(_HOSTILE))
-def test_hostile_input_ends_in_an_exit_code_within_budget(capsys, argv):
+def _assert_exit_code_within_budget(argv):
     previous = signal.signal(signal.SIGALRM, _over_budget)
+    stderr = io.StringIO()
     signal.setitimer(signal.ITIMER_REAL, _BUDGET_S)
     try:
-        code = main(list(argv))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(list(argv))
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
     except _OverBudget:
@@ -506,5 +516,118 @@ def test_hostile_input_ends_in_an_exit_code_within_budget(capsys, argv):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    err = capsys.readouterr().err
+    err = stderr.getvalue()
     assert code in (0, 1, 2) and "Traceback" not in err, err[-500:]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("argv", list(_HOSTILE.values()), ids=list(_HOSTILE))
+def test_hostile_input_ends_in_an_exit_code_within_budget(argv):
+    _assert_exit_code_within_budget(argv)
+
+
+
+# The same budget over argv drawn from the extreme values of each input: n up
+# to 10^11 (past algebra.MAX_N), every density, numbers of MAX_DIGITS +- 1
+# digits alone and folded, nesting of 99-101 levels, chains of 10^4 symbols
+# (10^3 under check, whose exact coefficients grow with a product chain; a
+# chain of a compound atom is ten times shorter), every type set and every
+# command.  Draws stay well below MAX_PRODUCT_PAIRS' worst case: check computes
+# dense values only at n <= 3, short programs at n = 6, and elsewhere a density
+# that expects at most a few terms or is refused.
+_HUGE_N = (10**7, MAX_N, MAX_N + 1, 99_999_999_999)
+_TINY_DENSITIES = ("5e-324", "2e-308", "1e-300", "1e-12")
+_DENSITIES = (None, *_TINY_DENSITIES, "0.5", "1")
+_N = {d: "9" * d for d in (MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1)}
+
+
+def _atoms(bits, prefix=""):
+    return "".join(prefix + str(k) for k in range(4) if bits >> k & 1)
+
+
+# all 256 complex type sets, the 16 real ones first, in the DSL's spelling
+_TYPESETS = [
+    f"{_atoms(re)}+i{_atoms(im)}" if re and im else _atoms(re) or (im and "i" + _atoms(im)) or "∅"
+    for im in range(16)
+    for re in range(16)
+]
+_ATOMS = {
+    "real": ("x", "y", "rev(x)*y", "[x, y]", "{x, gri(y)}", "-2*x*rev(x)"),
+    "complex": ("x", "y", "[x, y]", "{x, phc(y)}", "conj(x) - i*y", "i*gri(x)*x"),
+}
+_BODIES = st.sampled_from(
+    [f"{n}*x" for n in _N.values()] + [f"{n}*{n}*x" for n in _N.values()]
+    + [f"1/{n}*x" for n in _N.values()] + ["chain"] * 4
+    + [f"{head * d}ATOM{')' * d}" for head in ("rev(", "(") for d in (99, 100, 101)]
+)
+_CHECK_SIZES = st.sampled_from(  # (n, density): computing draws are small, others refused
+    [(n, d) for n in (1, 2, 3, 6) for d in _DENSITIES]
+    + [(n, d) for n in (20, 40, 64) for d in _TINY_DENSITIES]
+    + [(n, d) for n in _HUGE_N for d in _DENSITIES]
+)
+_MV_N = st.sampled_from((1, 2, 3, 9, 10, 65, *_HUGE_N))
+_ONE_IN_8 = st.integers(0, 7)
+
+
+@st.composite
+def _programs(draw, field, max_chain):
+    """A program of the field, its type sets and atoms mostly the field's own."""
+    typesets = _TYPESETS[: 256 if field == "complex" or not draw(_ONE_IN_8) else 16]
+    decls = "".join(f"let {name}:{draw(st.sampled_from(typesets))}; " for name in "xy")
+    atom = draw(st.sampled_from(_ATOMS[field if draw(_ONE_IN_8) else "complex"]))
+    body = draw(_BODIES)
+    if body == "chain":
+        length = draw(st.sampled_from((2, 100, max_chain if len(atom) == 1 else max_chain // 10)))
+        body = draw(st.sampled_from(("*", " + ", " - "))).join([atom] * length)
+    return decls + body.replace("ATOM", atom)
+
+
+def _literals(n):
+    return st.sampled_from((
+        f"e{{{n}}}", f"2*e{{1,{n}}} - 1/3", f"e{{{n + 1}}}", f"e{{{n},1}}", "e12", "0", "-e",
+        "i*e{1}", "e{1,,2}", f"{_N[MAX_DIGITS]}*e{{1}}", _N[MAX_DIGITS + 1],
+        f"{_N[MAX_DIGITS]}*{_N[MAX_DIGITS]}",
+    ))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("mul", "classify", "project", "tables", "infer", "check",
+                                    "selftest", "infer", "check", "check")))
+    flags = ["--json"] if draw(st.booleans()) else []
+    if command == "tables":
+        return [command, draw(st.sampled_from(("comm", "acomm", "commutator", "anticommutator"))),
+                *flags]
+    if command == "selftest":
+        return [command, "--max-n", draw(st.sampled_from(("0", "1", "3", "5", "9"))), *flags]
+    field = draw(st.sampled_from(("real", "complex")))
+    flags += ["--field", field]
+    if command == "infer":
+        return [command, *flags, draw(_programs(field, 10**4))]
+    if command == "check":
+        n, density = draw(_CHECK_SIZES)
+        if density is not None:
+            flags += ["--density", density]
+        flags += ["--trials", draw(st.sampled_from(("1", "2", "1", "2", "0", "-1")))]
+        flags += ["--seed", draw(st.sampled_from("0123"))]
+        if n == 6:
+            program = "let x:0123; let y:0123; " + draw(st.sampled_from(("[x, y]", "rev(x)*x")))
+        else:
+            program = draw(_programs(field, 1000))
+    else:
+        n = draw(_MV_N)
+    p = draw(st.sampled_from((0, n // 2, n)))
+    flags += ["--sig", f"{p},{n - p}", "--backend", draw(st.sampled_from(("exact", "float")))]
+    if command == "check":
+        return [command, *flags, program]
+    operands = [draw(_literals(n)) for _ in range(2 if command == "mul" else 1)]
+    if command == "project":
+        operands.insert(0, draw(st.sampled_from(("0", "2", "3", "4"))))
+    return [command, *flags, *operands]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@settings(max_examples=300)
+@given(_argv())
+def test_drawn_hostile_input_ends_in_an_exit_code_within_budget(argv):
+    _assert_exit_code_within_budget(argv)

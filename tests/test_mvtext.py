@@ -414,10 +414,12 @@ def _spoil(path, value):
         (("signature", "p"), "2", "'p' of 'signature'"),
         (("terms",), None, "'terms' of the input"),
         (("terms", 0), "e1", "term 0 has no 'blade'"),
-        (("terms", 1, "blade"), ["1", "2"], "generator index '1'"),
+        (("terms", 1, "blade"), ["1", "2"], "blade index '1'"),
+        (("terms", 1, "blade"), [2, 1], "strictly increasing"),
+        (("terms", 1, "blade"), [1, 1], "strictly increasing"),
     ],
     ids=["no-signature", "no-re", "no-blade", "int-blade", "str-p", "terms-none", "str-term",
-         "str-index"],
+         "str-index", "unsorted-index", "repeated-index"],
 )
 def test_malformed_structure_is_an_algebra_error(path, value, named):
     with pytest.raises(AlgebraError) as info:
@@ -477,13 +479,13 @@ def _naive_blade_text(mask, n):
 def test_blade_text_matches_the_index_list(rng):
     for n in range(1, 11):
         for mask in range(1 << n):
-            assert _blade_text(mask, n) == _naive_blade_text(mask, n)
+            assert _blade_text(mask, _byte_text(n > 9)) == _naive_blade_text(mask, n)
     for n in range(11, 71):
         # every byte edge (8/9, 16/17, 64/65) is crossed by some mask
         masks = [rng.getrandbits(n) for _ in range(40)] + [(1 << n) - 1, 1 << (n - 1), 0x1FF, 0x1FF00]
         for mask in masks:
             mask &= (1 << n) - 1
-            assert _blade_text(mask, n) == _naive_blade_text(mask, n)
+            assert _blade_text(mask, _byte_text(n > 9)) == _naive_blade_text(mask, n)
 
 
 @pytest.mark.parametrize(
