@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import AlgebraError
 
@@ -88,6 +88,8 @@ def blade_indices(mask: int) -> tuple[int, ...]:
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
     """Mask of 1-based generator indices, strictly increasing in 1..n as the text grammar
     writes them: order carries a sign (e3 e1 = -e13), so an unsorted or repeated list is refused."""
+    if not isinstance(indices, Iterable):
+        raise AlgebraError(f"blade indices must be an iterable of ints, got {indices!r:.40}")
     prev = mask = 0
     for a in indices:
         if type(a) is not int or not prev < a <= n:
@@ -256,7 +258,9 @@ class Multivector:
 
     def terms(self) -> list[tuple[int, tuple]]:
         """Term list sorted by (rank, mask); deterministic across runs."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        masks = sorted(self._terms)
+        masks.sort(key=int.bit_count)  # stable: masks stay ascending within a rank
+        return [(mask, self._terms[mask]) for mask in masks]
 
     def coeff(self, mask: int) -> tuple:
         zero = 0.0 if self.backend == FLOAT else 0

@@ -574,3 +574,29 @@ def test_an_int_mask_out_of_range_keeps_its_message():
             make()
     with pytest.raises(AlgebraError, match="^blade mask -0x1 invalid for n=3$"):
         Multivector.basis_blade(sig, -1)
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda: mask_from_indices(5, 4), "5"),
+    (lambda: mask_from_indices(None, 4), "None"),
+    (lambda: Multivector.basis_blade(Signature(3, 0), 1.5), "1.5"),
+], ids=["int", "none", "float"])
+def test_an_index_list_that_is_not_iterable_is_named(make, value):
+    with pytest.raises(AlgebraError, match=f"^blade indices must be an iterable of ints, got {value}$"):
+        make()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_terms_are_sorted_by_rank_then_mask(field, backend):
+    rng = random.Random(2502)
+    values = [Multivector.zero(Signature(3, 0), field, backend)]
+    for p in (3, 8, 64, 65, 70, 200):  # n = p + p // 3, past bit 64 from p = 64 on
+        sig = Signature(p, p // 3)
+        masks = [rng.getrandbits(sig.n) >> rng.randrange(sig.n) for _ in range(60)]
+        masks += [1 << (sig.n - 1), (1 << sig.n) - 1, 1 << min(64, sig.n - 1), 0]
+        values.append(Multivector(sig, {mask: 1 + k for k, mask in enumerate(masks)}, field, backend))
+    for u in values:
+        items = list(u._terms.items())
+        assert u.terms() == sorted(items, key=lambda kv: (kv[0].bit_count(), kv[0]))
+    assert values[0].terms() == []

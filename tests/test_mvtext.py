@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,80 @@ def test_every_space_inside_an_index_list_reads_as_a_space(space):
     # int() keeps U+001C..U+001F, which str.isspace and the grammar's \s count as spaces
     text = "e{ 1 , 2 }".replace(" ", space)
     assert parse_mv(text, Signature(3, 0)) == parse_mv("e{1,2}", Signature(3, 0))
+
+
+def _reference_blade(blade: str, n: int):
+    """Mask of a blade text read by int() index by index, else the message of its first fault:
+    a bad index, then a long one, then the first out of range or order in text order."""
+    if blade.startswith("e{"):
+        parts = blade[2:-1].split(",")
+    elif len(blade) > 1 and n > 9:
+        return "digit blade form is ambiguous for n > 9; use e{i,j,...}"
+    else:
+        parts = list(blade[1:])
+    parts = [part.strip() for part in parts]
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            return f"bad blade index {part!r}"
+    if max(map(len, parts), default=0) > MAX_DIGITS:
+        return f"number has more than {MAX_DIGITS} digits"
+    prev = mask = 0
+    for a in map(int, parts):
+        if not 1 <= a <= n:
+            return f"blade index {a} out of range 1..{n}"
+        if a <= prev:
+            return "blade indices must be strictly increasing"
+        prev, mask = a, mask | 1 << (a - 1)
+    return mask
+
+
+def _drawn_blade(rng, n: int) -> str:
+    """A brace or digit blade near 1, n, 64 and 65, some of it out of range, order or shape."""
+    if n <= 9 and rng.random() < 0.3:
+        return "e" + "".join(rng.choice("0123456789") for _ in range(rng.randrange(5)))
+    pool = [a for a in (1, 2, n - 1, n, 63, 64, 65, 66) if a <= n] + [rng.randint(1, n) for _ in "abc"]
+    indices = sorted(set(rng.sample(pool, rng.randint(1, 5))))
+    if rng.random() < 0.15:
+        indices.insert(rng.randrange(len(indices) + 1), rng.choice([0, n + 1, 65, 100]))
+    if rng.random() < 0.3 and len(indices) > 1:  # a descending pair or a duplicate
+        k = rng.randrange(len(indices) - 1)
+        indices[k + 1] = indices[k] if rng.random() < 0.5 else indices[k + 1]
+        indices[k], indices[k + 1] = indices[k + 1], indices[k]
+    parts = [str(a) for a in indices]
+    for k in range(len(parts)):
+        roll = rng.random()
+        if roll < 0.08:
+            parts[k] = "0" * rng.randint(1, 2) + parts[k]
+        elif roll < 0.16:
+            parts[k] = rng.choice(" \t\xa0") + parts[k] + rng.choice(["", " "])
+        elif roll < 0.2:
+            parts[k] = rng.choice(["", " ", "1 2"])
+    return "e{" + ",".join(parts) + "}"
+
+
+# an earlier bad, long or out-of-range index is named before a later misordered pair
+_FIRST_FAULTS = ["e{,3,1}", "e{ ,65,64}", "e{1 2,3,1}", "e{0,3,1}", "e{3,1,0}", "e{65,64}",
+                 "e{64,65,64}", "e{64,64}", "e{02,01}", "e{" + "0" * MAX_DIGITS + "1,3,1}", "e{1,٣,2,1}"]
+
+
+@pytest.mark.parametrize("n", [3, 9, 10, 20, 63, 64, 65, 70, 200])
+def test_index_table_reads_like_int_per_index(n):
+    rng = random.Random(25_000 + n)
+    blades = _FIRST_FAULTS + [_drawn_blade(rng, n) for _ in range(400)]
+    sig = Signature(n, 0)
+    for blade in blades:
+        # (text before the blade, the blade's coefficient, the terms the text adds)
+        prefix, coeff, before = rng.choice([("", 1, []), ("-3*", -3, []), ("2 + ", 1, [(0, 2)]),
+                                            ("1/2*e +\n ", 1, [(0, Fraction(1, 2))])])
+        text = prefix + blade
+        line, col = prefix.count("\n") + 1, len(prefix) - prefix.rfind("\n")
+        expected = _reference_blade(blade, n)
+        if isinstance(expected, int):
+            assert parse_mv(text, sig) == Multivector(sig, before + [(expected, coeff)]), text
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_mv(text, sig)
+            assert str(info.value) == f"{expected} (line {line}, column {col})", text
 
 
 # (numeral, value) pairs a literal term may carry, zeros of both types among them
