@@ -258,9 +258,7 @@ class Multivector:
 
     def terms(self) -> list[tuple[int, tuple]]:
         """Term list sorted by (rank, mask); deterministic across runs."""
-        masks = sorted(self._terms)
-        masks.sort(key=int.bit_count)  # stable: masks stay ascending within a rank
-        return [(mask, self._terms[mask]) for mask in masks]
+        return [(mask, self._terms[mask]) for mask in sorted(sorted(self._terms), key=int.bit_count)]
 
     def coeff(self, mask: int) -> tuple:
         zero = 0.0 if self.backend == FLOAT else 0

@@ -15,22 +15,20 @@ Whitespace may appear between any two symbols of ``mv``, ``term``, ``coeff``
 and ``rational`` and around each ``index``, but not inside a number or between
 ``e`` and its digits or ``{``.  Digits, in numbers and blade indices alike,
 are the ASCII digits 0-9, and a number or index has at most ``MAX_DIGITS``
-(4300) of them.  Blade indices are read and written through tables built once
-for generators 1..64; ``_index_mask`` reads every other case.  A coefficient,
-of this text or a string of the structured form ``mv_from_dict`` reads (a
-signed ``rational``, no space), is read exactly, as an int or a Fraction; on
-the float backend the Multivector constructor rounds it to the nearest float,
-refusing overflow.  ``0`` is the zero multivector (a scalar term with
-coefficient 0).  Complex coefficients are written as separate real and
-imaginary terms, e.g. ``2*e12 + 3i*e12``.  Formatting always produces the
-canonical form: terms sorted by (rank, mask), real part before imaginary,
+(4300) of them.  Blade indices 1..64 are read and written through tables built
+once.  A coefficient, of this text or a string of the structured form
+``mv_from_dict`` reads (a signed ``rational``, no space), is read exactly, as
+an int or a Fraction; on the float backend the Multivector constructor rounds
+it to the nearest float, refusing overflow.  ``0`` is the zero multivector (a
+scalar term with coefficient 0).  Complex coefficients are written as separate
+real and imaginary terms, e.g. ``2*e12 + 3i*e12``.  Formatting always produces
+the canonical form: terms sorted by (rank, mask), real part before imaginary,
 explicit ``*``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -56,6 +54,8 @@ _EXACT_TEXT = re.compile(r"[+-]?" + _NUMBER.pattern + r"(?:/[0-9]+)?")
 #: Most digits a number may have: the interpreter's default int-string
 #: conversion limit, which would otherwise end a longer one in a ValueError.
 MAX_DIGITS = 4300
+#: Bit of each index text "1".."64"; parse_mv reads unspaced blades of n <= 64 here.
+_INDEX_BIT = {str(a): 1 << (a - 1) for a in range(1, 65)}
 
 
 def _check_digits(text: str, pos: int, number: str) -> None:
@@ -106,8 +106,8 @@ def _index_mask(text: str, at: int, parts, n: int) -> int:
 
 
 def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT) -> Multivector:
-    """Parse a multivector literal, reading index texts "1".."64" through ``_INDEX_BIT`` and any
-    other blade (a space, "01", 65, a fault) with ``_index_mask``; ParseError with position on bad input."""
+    """Parse a multivector literal; raises ParseError with position on bad input.  Indices are
+    read through ``_INDEX_BIT`` if n <= 64 and unspaced, else by int(); ``_index_mask`` names a fault."""
     n = sig.n
     terms = []
     pos = 0
@@ -156,10 +156,22 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
                 _fail_at(text, m.start("blade"), "digit blade form is ambiguous for n > 9; use e{i,j,...}")
             else:
                 indices = digits
-            bits = [*map(_INDEX_BIT.get, indices, _ZEROS)]
-            mask = sum(bits)
+            mask = -1  # -1 >> n is -1: a blade the table does not read takes the int() pass
+            if n <= 64 and " " not in blade:  # every index of the algebra has its entry
+                bits = [_INDEX_BIT.get(part, 0) for part in indices]
+                mask = sum(bits)
             if mask >> n or mask.bit_count() != len(bits) or bits != sorted(bits):
-                mask = _index_mask(text, m.start("blade"), indices, n)
+                try:  # past the table: one int() pass, each index checked in turn
+                    if len(blade) > MAX_DIGITS:
+                        raise ValueError  # count each index's digits before int() reads it
+                    mask = prev = 0
+                    for a in map(int, indices):
+                        if not prev < a <= n:
+                            raise ValueError
+                        prev = a
+                        mask |= 1 << (a - 1)
+                except ValueError:  # a bad, long or misplaced index
+                    mask = _index_mask(text, m.start("blade"), indices, n)
         if sign == "-":
             value = -value
         if value:  # a zero term is skipped, as the constructor skips it
@@ -223,9 +235,6 @@ def format_mv(u: Multivector) -> str:
 #: Byte offsets the blade-text tables cover (generators 1..64); a blade with a
 #: higher generator joins its blade_indices.
 BYTE_TEXT_MAX = 8
-#: Bit of each index text parse_mv reads fast, "1".."64": as far as the tables print.
-_INDEX_BIT = {str(a): 1 << (a - 1) for a in range(1, 8 * BYTE_TEXT_MAX + 1)}
-_ZEROS = itertools.repeat(0)  # the bit of a text _INDEX_BIT lacks
 
 
 @functools.cache
