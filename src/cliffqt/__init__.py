@@ -2,9 +2,6 @@
 
 from .algebra import (
     COMPLEX,
-    EXACT,
-    FLOAT,
-    FLOAT_TOL,
     REAL,
     Multivector,
     Signature,

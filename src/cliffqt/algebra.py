@@ -2,11 +2,12 @@
 
 Basis blades are bit masks: generator ``a`` (1-based) occupies bit ``a - 1``
 and the empty mask is the identity ``e``.  A multivector is a sparse map
-from blade mask to a coefficient pair ``(re, im)``.  On the exact backend
-coefficients are Python ints or :class:`fractions.Fraction`, so every
-algebraic identity holds with literal equality; on the float backend they
-are floats and approximate comparisons elsewhere use ``FLOAT_TOL``.  No term
-stored is zero: a float term that underflows to 0.0 (1e-200 * 1e-200) is dropped.
+from blade mask to a coefficient pair ``(re, im)`` of Python ints or
+:class:`fractions.Fraction`, so every algebraic identity holds with literal
+equality; no term stored is zero.  A float coefficient is refused.  The float
+backend is gone, and with it ``FLOAT``, ``EXACT``, ``FLOAT_TOL``,
+``_check_finite``, ``Multivector.max_abs`` and the ``backend`` slot and
+parameter of ``Multivector`` and its factories.
 
 Products and brackets take one of two paths, chosen by the number of
 generators n.  Up to ``TABLE_MAX_N`` (6) each term pair reads its factor
@@ -14,7 +15,10 @@ from a table built once per signature and bracket kind and adds into a
 dense array of 2^n slots; the three tables of one signature take about 8,
 29 and 105 KiB at n = 4, 5 and 6.  Above it each pair's sign is a popcount
 against :func:`sign_mask` and the terms gather in a sparse map.  Both paths
-take their signs from the same two masks.
+take their signs from the same two masks.  An operand holding a Fraction is
+multiplied as integers over one common denominator d, the lcm of its
+denominators; each output part is divided by d_u d_v once, and an integral
+result is an int again.
 
 Multivectors are immutable values: every operation returns a fresh object,
 so instances can be shared freely between threads.
@@ -27,16 +31,12 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .errors import AlgebraError
 
 REAL = "real"
 COMPLEX = "complex"
-EXACT = "exact"
-FLOAT = "float"
-
-#: Relative tolerance for float-backend membership and classification.
-FLOAT_TOL = 1e-9
 
 #: Most term pairs one product or bracket may visit, about 12 s at the
 #: sign-mask path's ~1.3 M pairs/s.
@@ -136,47 +136,20 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     return (-1 if (b & sign_mask(a, sig.p)).bit_count() & 1 else 1), a ^ b
 
 
-#: Coefficient types per backend, never a bool; Fraction last, as its ABC isinstance is slow.
-_NUMBER_TYPES = {EXACT: (int, Fraction), FLOAT: (float, int, Fraction)}
-
-
-def _is_scalar(v) -> bool:
-    """Whether v is a coefficient of either backend; ``scale`` refuses a float on the exact one."""
-    return isinstance(v, _NUMBER_TYPES[FLOAT]) and type(v) is not bool
-
-
-def _coerce_pair(value, field: str, backend: str) -> tuple:
-    """Normalize a user coefficient, a number or an (re, im) pair, for the backend."""
+def _coerce_pair(value, field: str) -> tuple:
+    """Normalize a user coefficient, a number or an (re, im) pair of int or Fraction parts."""
     if isinstance(value, tuple):
         if len(value) != 2:
             raise AlgebraError(f"coefficient pair must have two entries, got {value!r}")
         re, im = value
     else:
         re, im = value, 0
-    kinds = _NUMBER_TYPES[backend]
-    if not (isinstance(re, kinds) and isinstance(im, kinds)) or bool in (type(re), type(im)):
-        names = "int or Fraction" if backend == EXACT else "int, Fraction or float"
-        raise AlgebraError(f"{backend} backend needs {names} coefficients, got {value!r:.40}")
-    if backend == FLOAT:
-        try:
-            re = float(re)
-            im = float(im)
-        except OverflowError:
-            raise AlgebraError("coefficient too large for the float backend") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise AlgebraError(f"float backend needs finite coefficients, got {value!r}")
+    # Fraction last, as its ABC isinstance is slow; never a bool
+    if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))) or bool in (type(re), type(im)):
+        raise AlgebraError(f"coefficients must be int or Fraction, got {value!r:.40}")
     if field == REAL and im != 0:
         raise AlgebraError("real field cannot carry an imaginary coefficient")
     return re, im
-
-
-def _check_finite(tmap: dict) -> dict:
-    """Refuse inf or nan in a float-backend term map; return it without its all-zero terms."""
-    isfinite = math.isfinite
-    for re, im in tmap.values():
-        if not (isfinite(re) and isfinite(im)):
-            raise AlgebraError("float backend overflow: a result coefficient is not finite")
-    return {m: c for m, c in tmap.items() if c[0] or c[1]}
 
 
 def _accumulate(out: dict, terms) -> dict:
@@ -195,64 +168,59 @@ def _accumulate(out: dict, terms) -> dict:
 
 
 class Multivector:
-    """Immutable sparse multivector over a fixed signature, field and backend."""
+    """Immutable sparse multivector over a fixed signature and field."""
 
-    __slots__ = ("sig", "field", "backend", "_terms")
+    __slots__ = ("sig", "field", "_terms")
 
-    def __init__(self, sig: Signature, terms=None, field: str = REAL, backend: str = EXACT):
+    def __init__(self, sig: Signature, terms=None, field: str = REAL):
         """Multivector from (blade mask, coefficient) items, a dict or an iterable.
 
         Each coefficient is coerced once by _coerce_pair; a zero term is skipped and the
-        rest merge by _accumulate, so no value type depends on term order.  A float map is
-        finished by _check_finite.  A mask is an int in 0..2^n - 1.  Each refusal is an AlgebraError."""
+        rest merge by _accumulate, so no value type depends on term order.  A mask is an
+        int in 0..2^n - 1.  Each refusal is an AlgebraError."""
         if field not in (REAL, COMPLEX):
             raise AlgebraError(f"unknown field {field!r}")
-        if backend not in (EXACT, FLOAT):
-            raise AlgebraError(f"unknown backend {backend!r}")
         pairs = []
         try:
             for mask, value in terms.items() if isinstance(terms, dict) else terms or ():
                 if type(mask) is not int or mask < 0 or mask >> sig.n:
                     shown = f"{mask:#x}" if type(mask) is int else repr(mask)
                     raise AlgebraError(f"blade mask {shown} invalid for n={sig.n}")
-                c = _coerce_pair(value, field, backend)
+                c = _coerce_pair(value, field)
                 if c[0] or c[1]:
                     pairs.append((mask, c))
         except AlgebraError:
             raise
         except (TypeError, ValueError):  # not an iterable of pairs
             raise AlgebraError(f"terms must be (mask, coefficient) pairs, got {terms!r:.40}") from None
-        tmap = _accumulate({}, pairs)
         self.sig = sig
         self.field = field
-        self.backend = backend
-        self._terms = _check_finite(tmap) if backend == FLOAT else tmap
+        self._terms = _accumulate({}, pairs)
 
     @classmethod
-    def _raw(cls, sig, field, backend, tmap):
+    def _raw(cls, sig, field, tmap):
         """Internal constructor for already-normalized, zero-pruned term maps."""
         mv = object.__new__(cls)
         mv.sig = sig
         mv.field = field
-        mv.backend = backend
         mv._terms = tmap
         return mv
 
     # ---------------------------------------------------------------- factories
 
     @classmethod
-    def zero(cls, sig, field=REAL, backend=EXACT):
-        return cls(sig, None, field, backend)
+    def zero(cls, sig, field=REAL):
+        return cls(sig, None, field)
 
     @classmethod
-    def scalar(cls, sig, value, field=REAL, backend=EXACT):
-        return cls(sig, {0: value}, field, backend)
+    def scalar(cls, sig, value, field=REAL):
+        return cls(sig, {0: value}, field)
 
     @classmethod
-    def basis_blade(cls, sig, indices, coeff=1, field=REAL, backend=EXACT):
+    def basis_blade(cls, sig, indices, coeff=1, field=REAL):
         """Blade from a mask (int) or strictly increasing 1-based indices."""
         mask = indices if isinstance(indices, int) else mask_from_indices(indices, sig.n)
-        return cls(sig, {mask: coeff}, field, backend)
+        return cls(sig, {mask: coeff}, field)
 
     # ---------------------------------------------------------------- inspection
 
@@ -261,8 +229,7 @@ class Multivector:
         return [(mask, self._terms[mask]) for mask in sorted(sorted(self._terms), key=int.bit_count)]
 
     def coeff(self, mask: int) -> tuple:
-        zero = 0.0 if self.backend == FLOAT else 0
-        return self._terms.get(mask, (zero, zero))
+        return self._terms.get(mask, (0, 0))
 
     def grades(self) -> tuple[int, ...]:
         return tuple(sorted({m.bit_count() for m in self._terms}))
@@ -270,26 +237,13 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def max_abs(self):
-        """Largest absolute coefficient component (0 for the zero element)."""
-        best = 0
-        for re, im in self._terms.values():
-            for v in (re, im):
-                a = -v if v < 0 else v
-                if a > best:
-                    best = a
-        return best
-
     def __len__(self) -> int:
         return len(self._terms)
 
     def __repr__(self) -> str:
         from .mvtext import format_mv
 
-        return (
-            f"<Multivector {format_mv(self)!r} sig=({self.sig.p},{self.sig.q})"
-            f" {self.field}/{self.backend}>"
-        )
+        return f"<Multivector {format_mv(self)!r} sig=({self.sig.p},{self.sig.q}) {self.field}>"
 
     # ---------------------------------------------------------------- comparisons
 
@@ -315,12 +269,7 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._compat(other)
-        if self.backend != other.backend:
-            raise AlgebraError(f"backend mismatch: {self.backend} vs {other.backend}")
-        out = _accumulate(dict(self._terms), other._terms.items())
-        if self.backend == FLOAT:
-            out = _check_finite(out)
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, _accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -329,13 +278,13 @@ class Multivector:
 
     def __neg__(self):
         out = {m: (-re, -im) for m, (re, im) in self._terms.items()}
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def scale(self, value) -> "Multivector":
         """Multiply by a scalar; accepts a number or an (re, im) pair."""
-        cr, ci = _coerce_pair(value, self.field, self.backend)
+        cr, ci = _coerce_pair(value, self.field)
         if cr == 0 and ci == 0:
-            return Multivector._raw(self.sig, self.field, self.backend, {})
+            return Multivector._raw(self.sig, self.field, {})
         out = {}
         if ci == 0:
             for m, (re, im) in self._terms.items():
@@ -343,23 +292,20 @@ class Multivector:
         else:
             for m, (re, im) in self._terms.items():
                 out[m] = (cr * re - ci * im, cr * im + ci * re)
-        if self.backend == FLOAT:
-            out = _check_finite(out)
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def __rmul__(self, other):
-        if _is_scalar(other):
+        # every real number goes to scale, which names int or Fraction when it refuses one
+        if isinstance(other, Real) and type(other) is not bool:
             return self.scale(other)
         return NotImplemented
 
     # ---------------------------------------------------------------- products
 
     def __mul__(self, other):
-        if _is_scalar(other):
-            return self.scale(other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return _product(self, other)
+        if isinstance(other, Multivector):
+            return _product(self, other)
+        return self.__rmul__(other)
 
     # ---------------------------------------------------------------- gradings
 
@@ -368,15 +314,15 @@ class Multivector:
         if not 0 <= k <= self.sig.n:
             raise AlgebraError(f"rank {k} out of range 0..{self.sig.n}")
         out = {m: c for m, c in self._terms.items() if m.bit_count() == k}
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def even_part(self) -> "Multivector":
         out = {m: c for m, c in self._terms.items() if not m.bit_count() & 1}
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def odd_part(self) -> "Multivector":
         out = {m: c for m, c in self._terms.items() if m.bit_count() & 1}
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     # ---------------------------------------------------------------- conjugations
 
@@ -386,21 +332,21 @@ class Multivector:
         for m, (re, im) in self._terms.items():
             # k(k-1)/2 is odd exactly when k = 2, 3 mod 4
             out[m] = (-re, -im) if m.bit_count() & 2 else (re, im)
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def grade_involution(self) -> "Multivector":
         """Automorphism scaling rank k by (-1)^k."""
         out = {}
         for m, (re, im) in self._terms.items():
             out[m] = (-re, -im) if m.bit_count() & 1 else (re, im)
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def complex_conjugate(self) -> "Multivector":
         """Coefficient-wise conjugation relative to the generator basis."""
         if self.field != COMPLEX:
             raise AlgebraError("complex conjugation needs the complex field")
         out = {m: (re, -im) for m, (re, im) in self._terms.items()}
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def pseudo_hermitian(self) -> "Multivector":
         """Composition of complex conjugation and reversion."""
@@ -416,25 +362,48 @@ def _product(u: Multivector, v: Multivector, keep: int | None = None) -> Multive
     is taken, with its coefficient doubled, only when the parity of
     ``(B & swap_mask(A)).bit_count()`` equals ``keep``: 1 keeps the
     anticommuting pairs (the commutator), 0 the commuting ones (the
-    anticommutator).  More than ``MAX_PRODUCT_PAIRS`` pairs raise AlgebraError,
-    and a float-backend result is finished by :func:`_check_finite`.
+    anticommutator).  More than ``MAX_PRODUCT_PAIRS`` pairs raise AlgebraError.
 
-    Up to ``TABLE_MAX_N`` generators the pairs read their factor from
-    :func:`_blade_table` and add into a dense array; above it the signs come
-    from the masks pair by pair into a sparse map.
+    The kernels see ints only: each operand comes from :func:`_over_integers`
+    as a common denominator and an integer term map, and each output part is
+    divided by the two denominators' product once.  Up to ``TABLE_MAX_N``
+    generators the pairs read their factor from :func:`_blade_table` and add
+    into a dense array; above it the signs come from the masks pair by pair
+    into a sparse map.
     """
     u._compat(v)
-    if u.backend != v.backend:
-        raise AlgebraError(f"backend mismatch: {u.backend} vs {v.backend}")
     if len(u) * len(v) > MAX_PRODUCT_PAIRS:
         raise AlgebraError(f"{len(u)} by {len(v)} terms: more than {MAX_PRODUCT_PAIRS} term pairs")
-    if u.sig.n <= TABLE_MAX_N:
-        out = _table_product(u, v, keep)
+    du, uterms = _over_integers(u._terms)
+    dv, vterms = _over_integers(v._terms)
+    kernel = _table_product if u.sig.n <= TABLE_MAX_N else _mask_product
+    out = kernel(u.sig, u.field == REAL, uterms, vterms, keep)
+    d = du * dv
+    if d != 1:
+        out = {m: (_divide(re, d), _divide(im, d)) for m, (re, im) in out.items()}
+    return Multivector._raw(u.sig, u.field, out)
+
+
+def _over_integers(tmap: dict) -> tuple[int, dict]:
+    """``(d, d * tmap)``, d the lcm of tmap's denominators, so every part is an int.
+
+    An all-int map is returned as it is, d = 1, after one type scan.
+    """
+    for re, im in tmap.values():
+        if type(re) is not int or type(im) is not int:
+            break
     else:
-        out = _mask_product(u, v, keep)
-    if u.backend == FLOAT:
-        out = _check_finite(out)
-    return Multivector._raw(u.sig, u.field, u.backend, out)
+        return 1, tmap
+    d = math.lcm(*[x.denominator for pair in tmap.values() for x in pair])
+    return d, {
+        m: (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+        for m, (re, im) in tmap.items()
+    }
+
+
+def _divide(x: int, d: int):
+    """x / d, an int when d divides x, else a Fraction."""
+    return x // d if not x % d else Fraction(x, d)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per (p, n, keep) with n <= TABLE_MAX_N
@@ -458,26 +427,25 @@ def _blade_table(p: int, n: int, keep: int | None) -> tuple:
     return tuple(rows)
 
 
-def _table_product(u: Multivector, v: Multivector, keep: int | None) -> dict:
+def _table_product(sig: Signature, real: bool, uterms: dict, vterms: dict, keep: int | None) -> dict:
     """Term map of ``_product`` for n <= TABLE_MAX_N, accumulated in 2^n slots."""
-    table = _blade_table(u.sig.p, u.sig.n, keep)
-    size = 1 << u.sig.n
-    zero = 0.0 if u.backend == FLOAT else 0
-    start = -zero  # -0.0 is the float identity of addition: a first term keeps its sign
-    vterms = list(v._terms.items())
-    if u.field == REAL:
-        acc = [start] * size
-        for ma, (ra, _) in u._terms.items():
+    table = _blade_table(sig.p, sig.n, keep)
+    size = 1 << sig.n
+    if real:
+        vreal = [(mb, rb) for mb, (rb, _) in vterms.items()]
+        acc = [0] * size
+        for ma, (ra, _) in uterms.items():
             row = table[ma]
-            scaled = (zero, ra, ra + ra, -(ra + ra), -ra)  # scaled[s] is s * ra
-            for mb, (rb, _) in vterms:
+            scaled = (0, ra, ra + ra, -(ra + ra), -ra)  # scaled[s] is s * ra
+            for mb, rb in vreal:
                 s = row[mb]
                 if s:
                     acc[ma ^ mb] += scaled[s] * rb
-        return {m: (re, zero) for m, re in enumerate(acc) if re}
-    acc_re = [start] * size
-    acc_im = [start] * size
-    for ma, (ra, ia) in u._terms.items():
+        return {m: (re, 0) for m, re in enumerate(acc) if re}
+    acc_re = [0] * size
+    acc_im = [0] * size
+    vterms = list(vterms.items())
+    for ma, (ra, ia) in uterms.items():
         row = table[ma]
         for mb, (rb, ib) in vterms:
             s = row[mb]
@@ -488,15 +456,13 @@ def _table_product(u: Multivector, v: Multivector, keep: int | None) -> dict:
     return {m: (re, im) for m, (re, im) in enumerate(zip(acc_re, acc_im)) if re or im}
 
 
-def _mask_product(u: Multivector, v: Multivector, keep: int | None) -> dict:
+def _mask_product(sig: Signature, real: bool, uterms: dict, vterms: dict, keep: int | None) -> dict:
     """Term map of ``_product``, with each pair's sign taken from the masks."""
-    p = u.sig.p
-    real = u.field == REAL
-    zero = 0.0 if u.backend == FLOAT else 0
-    vterms = list(v._terms.items())
+    p = sig.p
+    vterms = list(vterms.items())
     out: dict[int, tuple] = {}
     get = out.get
-    for ma, (ra, ia) in u._terms.items():
+    for ma, (ra, ia) in uterms.items():
         sa = sign_mask(ma, p)
         pairs = vterms
         if keep is not None:
@@ -510,13 +476,13 @@ def _mask_product(u: Multivector, v: Multivector, keep: int | None) -> dict:
                 m = ma ^ mb
                 cur = get(m)
                 if cur is None:
-                    out[m] = (re, zero)
+                    out[m] = (re, 0)
                 else:
                     re += cur[0]
                     if re == 0:
                         del out[m]
                     else:
-                        out[m] = (re, zero)
+                        out[m] = (re, 0)
         else:
             for mb, (rb, ib) in pairs:
                 re = ra * rb - ia * ib
@@ -543,16 +509,11 @@ def commutator(u: Multivector, v: Multivector) -> Multivector:
 
     e_A e_B = (-1)^(|A||B| - |A & B|) e_B e_A, so a commuting pair cancels
     and an anticommuting pair contributes 2 s(A, B) u_A v_B e_(A ^ B).  Only
-    the anticommuting pairs are multiplied.  On the exact backend the result
-    equals u*v - v*u; on the float backend it may differ in the last bits,
-    because cancelled pairs are now exactly zero instead of rounding residues.
+    the anticommuting pairs are multiplied, and the result equals u*v - v*u.
     """
     return _product(u, v, 1)
 
 
 def anticommutator(u: Multivector, v: Multivector) -> Multivector:
-    """{u, v} = u*v + v*u: 2 s(A, B) u_A v_B e_(A ^ B) over the commuting pairs.
-
-    One pass, as in :func:`commutator`; the same float-backend note applies.
-    """
+    """{u, v} = u*v + v*u: 2 s(A, B) u_A v_B e_(A ^ B) over the commuting pairs, in one pass."""
     return _product(u, v, 0)

@@ -11,8 +11,9 @@ Usage:
 
 Options, each only on the commands that read it (any other is a usage
 error): --json on all; --field real|complex on mul, classify, project, infer,
-check; --backend exact|float and --sig P,Q on mul, classify, project, check;
---seed N, --trials N, --density X on check (CLIFFQT_SEED sets its seed).
+check; --sig P,Q on mul, classify, project, check; --seed N, --trials N,
+--density X on check (CLIFFQT_SEED sets its seed).  Arithmetic is exact; the
+--backend option is gone with the float backend, and is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
 """
@@ -25,7 +26,7 @@ import json
 import os
 import sys
 
-from .algebra import COMPLEX, EXACT, FLOAT, REAL, Signature
+from .algebra import COMPLEX, REAL, Signature
 from .dsl import check_soundness, infer_type, parse_program
 from .errors import AlgebraError, ParseError
 from .mvtext import format_mv, mv_to_dict, parse_mv
@@ -56,7 +57,6 @@ def _emit(args, data, text) -> None:
 
 _OPTIONS = {
     "--field": dict(choices=(REAL, COMPLEX), default=REAL),
-    "--backend": dict(choices=(EXACT, FLOAT), default=EXACT),
     "--sig": dict(type=_parse_sig, required=True, metavar="P,Q"),
     "--seed": dict(type=int, default=None, help="default 0, or CLIFFQT_SEED when set"),
     "--trials": dict(type=int, default=100),
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    concrete = ("--field", "--backend", "--sig")  # for commands that compute in Cl(p,q)
+    concrete = ("--field", "--sig")  # for commands that compute in Cl(p,q)
     p = command("mul", cmd_mul, "geometric product of two literals", *concrete)
     p.add_argument("lhs")
     p.add_argument("rhs")
@@ -111,15 +111,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_mul(args) -> int:
-    lhs = parse_mv(args.lhs, args.sig, args.field, args.backend)
-    rhs = parse_mv(args.rhs, args.sig, args.field, args.backend)
+    lhs = parse_mv(args.lhs, args.sig, args.field)
+    rhs = parse_mv(args.rhs, args.sig, args.field)
     result = lhs * rhs
     _emit(args, lambda: {"command": "mul", "result": mv_to_dict(result)}, lambda: format_mv(result))
     return 0
 
 
 def cmd_classify(args) -> int:
-    u = parse_mv(args.mv, args.sig, args.field, args.backend)
+    u = parse_mv(args.mv, args.sig, args.field)
     tset = str(classify_by_rank(u))
     parts = [
         (f"i{k}" if imag else str(k), piece)
@@ -139,7 +139,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    u = parse_mv(args.mv, args.sig, args.field, args.backend)
+    u = parse_mv(args.mv, args.sig, args.field)
     part = qtype_project(u, args.k)
     _emit(
         args,
@@ -178,7 +178,6 @@ def cmd_check(args) -> int:
         args.sig,
         trials=args.trials,
         seed=args.seed,
-        backend=args.backend,
         density=args.density,
     )
     _emit(args, lambda: {"command": "check", **report.as_dict()}, report.format_text)

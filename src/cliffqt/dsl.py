@@ -43,6 +43,10 @@ the U*rev(U)-style identities that no per-node rule can see.  Its type, the
 intersection of those eigenspaces, depends on the tree and the field alone,
 so it is kept for the last tree inferred: ``check_soundness`` at a second
 signature reuses it and still folds the closure tables afresh.
+
+Evaluation is exact, and ``check_soundness`` judges membership strictly.  The
+float backend is gone: ``random_instance`` and ``check_soundness`` have no
+``backend`` parameter, and ``_eval`` threads no ``peaks``.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ from fractions import Fraction
 
 from .algebra import (
     COMPLEX,
-    EXACT,
-    FLOAT,
     REAL,
     Multivector,
     Signature,
@@ -247,7 +249,7 @@ def _tokenize(text: str):
             kind = "DECIMAL" if "." in lexeme else "INT"
             j = m.end()
             if j < end and (text[j].isalpha() or text[j] == "_"):
-                # '1e3' is neither a float nor 1*e3: ask for an explicit product
+                # '1e3' is neither a number nor 1*e3: ask for an explicit product
                 _fail_at(text, i, f"number {lexeme!r} runs into {text[j]!r}; write '*' or a space")
         elif kind == "bad" or not (lexeme[0].isalpha() or lexeme[0] == "_"):
             _fail_at(text, i, f"malformed token {lexeme[0]!r}")
@@ -659,26 +661,21 @@ def eval_expr(expr: Expr, env: TypeEnv, bindings: dict) -> Multivector:
     return _eval(expr, bindings)
 
 
-def _eval(expr: Expr, bindings: dict, peaks: list | None = None) -> Multivector:
-    """Value of expr; when peaks is a list, each node's largest coefficient
-    is appended to it."""
+def _eval(expr: Expr, bindings: dict) -> Multivector:
+    """Value of expr."""
     if isinstance(expr, Sym):
-        out = bindings[expr.name]
-    elif isinstance(expr, Conj):
-        out = apply_conjugation(_eval(expr.child, bindings, peaks), expr.op)
-    elif isinstance(expr, Scale):
-        out = _eval(expr.child, bindings, peaks).scale(expr.coef)
-    elif isinstance(expr, (Add, Prod)):
-        values = [_eval(term, bindings, peaks) for term in expr.terms]
-        out = functools.reduce(operator.add if isinstance(expr, Add) else operator.mul, values)
-    elif isinstance(expr, Bracket):
+        return bindings[expr.name]
+    if isinstance(expr, Conj):
+        return apply_conjugation(_eval(expr.child, bindings), expr.op)
+    if isinstance(expr, Scale):
+        return _eval(expr.child, bindings).scale(expr.coef)
+    if isinstance(expr, (Add, Prod)):
+        values = [_eval(term, bindings) for term in expr.terms]
+        return functools.reduce(operator.add if isinstance(expr, Add) else operator.mul, values)
+    if isinstance(expr, Bracket):
         bracket = commutator if expr.sign < 0 else anticommutator
-        out = bracket(_eval(expr.left, bindings, peaks), _eval(expr.right, bindings, peaks))
-    else:
-        raise TypeError(f"not an Expr: {expr!r}")
-    if peaks is not None:
-        peaks.append(out.max_abs())
-    return out
+        return bracket(_eval(expr.left, bindings), _eval(expr.right, bindings))
+    raise TypeError(f"not an Expr: {expr!r}")
 
 
 # ------------------------------------------------------------------ random instances
@@ -712,7 +709,7 @@ def _unrank_subset(index: int, n: int, r: int) -> int:
     return mask
 
 
-# The exact backend draws each coefficient uniformly from these 18 values.
+# random_instance draws each coefficient uniformly from these 18 values.
 _DRAWN_COEFFICIENTS = (-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
@@ -750,7 +747,6 @@ def random_instance(
     sig: Signature,
     seed: int,
     density: float | None = None,
-    backend: str = EXACT,
 ) -> Multivector:
     """Random multivector inside the TypeSet's subspace, deterministic per seed.
 
@@ -780,7 +776,6 @@ def random_instance(
     # no drawn coefficient is zero and a blade lies in one main type, so a
     # term is written once, or twice when its real atom k came before ik
     terms: dict[int, tuple] = {}
-    zero = 0.0 if backend == FLOAT else 0
     n = sig.n
     for k, imag in tset.atoms():
         if density < 1.0:
@@ -790,19 +785,16 @@ def random_instance(
         else:
             masks = _dense_masks.__wrapped__(n, k)
         for mask in masks:
-            if backend == FLOAT:
-                value = rng.uniform(-1.0, 1.0) or 1.0
-            else:
-                # the draw rng.choice makes: 5 random bits, redrawn while past 17
+            # the draw rng.choice makes: 5 random bits, redrawn while past 17
+            index = getrandbits(5)
+            while index >= 18:
                 index = getrandbits(5)
-                while index >= 18:
-                    index = getrandbits(5)
-                value = _DRAWN_COEFFICIENTS[index]
+            value = _DRAWN_COEFFICIENTS[index]
             if imag:
-                terms[mask] = (terms.get(mask, (zero,))[0], value)
+                terms[mask] = (terms.get(mask, (0,))[0], value)
             else:
-                terms[mask] = (value, zero)
-    return Multivector._raw(sig, tset.field, backend, terms)
+                terms[mask] = (value, 0)
+    return Multivector._raw(sig, tset.field, terms)
 
 
 # ------------------------------------------------------------------ soundness checking
@@ -861,17 +853,13 @@ def check_soundness(
     sig: Signature,
     trials: int = 100,
     seed: int = 0,
-    backend: str = EXACT,
     density: float | None = None,
 ) -> SoundnessReport:
     """Instantiate symbols randomly and test membership in the inferred type.
 
     Failures are reported, not raised; the first one records the trial seed
-    and the exact bindings.  On the float backend ``member`` judges the value
-    with ``FLOAT_TOL`` relative to the largest coefficient of any binding or
-    intermediate value, so a value that cancels to rounding residue is judged
-    against the magnitude it cancelled from.  The same tree object checked
-    again, at any signature, reuses its normal form's signs and symbol names.
+    and the exact bindings.  The same tree object checked again, at any
+    signature, reuses its normal form's signs and symbol names.
     """
     if trials < 1:
         raise AlgebraError(f"trials must be >= 1, got {trials}")
@@ -882,12 +870,11 @@ def check_soundness(
     for trial in range(trials):
         tseed = trial_seed(seed, trial)
         bindings = {
-            name: random_instance(env.lookup(name), sig, tseed * 131 + j, density, backend)
+            name: random_instance(env.lookup(name), sig, tseed * 131 + j, density)
             for j, name in enumerate(names)
         }
-        peaks = [] if backend == FLOAT else None
-        result = _eval(expr, bindings, peaks)
-        if not member(result, inferred, max(peaks) if peaks else None):
+        result = _eval(expr, bindings)
+        if not member(result, inferred):
             failures += 1
             if first is None:
                 first = {

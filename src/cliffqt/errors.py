@@ -2,7 +2,7 @@
 
 
 class AlgebraError(ValueError):
-    """Incompatible operands, or an operation invalid for the field/backend."""
+    """Incompatible operands, or an operation invalid for the field."""
 
 
 class BindingError(AlgebraError):

@@ -18,23 +18,25 @@ are the ASCII digits 0-9, and a number or index has at most ``MAX_DIGITS``
 (4300) of them.  Blade indices 1..64 are read and written through tables built
 once.  A coefficient, of this text or a string of the structured form
 ``mv_from_dict`` reads (a signed ``rational``, no space), is read exactly, as
-an int or a Fraction; on the float backend the Multivector constructor rounds
-it to the nearest float, refusing overflow.  ``0`` is the zero multivector (a
-scalar term with coefficient 0).  Complex coefficients are written as separate
+an int or a Fraction.  ``0`` is the zero multivector (a scalar term with
+coefficient 0).  Complex coefficients are written as separate
 real and imaginary terms, e.g. ``2*e12 + 3i*e12``.  Formatting always produces
 the canonical form: terms sorted by (rank, mask), real part before imaginary,
 explicit ``*``.
+
+The float backend is gone: ``parse_mv`` has no ``backend`` parameter,
+``_format_float`` is deleted, ``mv_to_dict`` writes no ``"backend"`` key, and
+``mv_from_dict`` ignores one, so documents written before still load.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
 from fractions import Fraction
 
 from .algebra import (
-    COMPLEX, EXACT, REAL, Multivector, Signature, _accumulate, blade_indices, mask_from_indices,
+    COMPLEX, REAL, Multivector, Signature, _accumulate, blade_indices, mask_from_indices,
 )
 from .errors import AlgebraError, ParseError
 
@@ -105,7 +107,7 @@ def _index_mask(text: str, at: int, parts, n: int) -> int:
         _fail_at(text, at, str(exc))
 
 
-def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT) -> Multivector:
+def parse_mv(text: str, sig: Signature, field: str = REAL) -> Multivector:
     """Parse a multivector literal; raises ParseError with position on bad input.  Indices are
     read through ``_INDEX_BIT`` if n <= 64 and unspaced, else by int(); ``_index_mask`` names a fault."""
     n = sig.n
@@ -178,26 +180,12 @@ def parse_mv(text: str, sig: Signature, field: str = REAL, backend: str = EXACT)
             terms.append((mask, (value, 0) if imag is None else (0, value)))
         pos = m.end()
         if pos == end:
-            if backend == EXACT and field in (REAL, COMPLEX):  # range-checked: merge, no re-check
-                return Multivector._raw(sig, field, backend, _accumulate({}, terms))
-            return Multivector(sig, terms, field, backend)  # it rounds or refuses
-
-
-def _format_float(v: float) -> str:
-    if v == 0:
-        return "0.0"  # negating a zero part gives -0.0; print both zeros alike
-    s = repr(v)
-    if "e" in s or "E" in s:
-        # expand tiny/huge magnitudes positionally; keep 17 significant digits
-        exp = math.floor(math.log10(abs(v)))
-        decimals = max(0, 17 - exp) if exp < 17 else 0
-        s = f"{v:.{decimals}f}"
-    return s
+            if field in (REAL, COMPLEX):  # range-checked: merge, no re-check
+                return Multivector._raw(sig, field, _accumulate({}, terms))
+            return Multivector(sig, terms, field)  # it refuses the field
 
 
 def _format_number(v) -> str:
-    if isinstance(v, float):
-        return _format_float(v)
     try:
         return str(v)
     except ValueError:  # the interpreter's int-string conversion limit
@@ -264,7 +252,6 @@ def mv_to_dict(u: Multivector) -> dict:
     return {
         "signature": {"p": u.sig.p, "q": u.sig.q},
         "field": u.field,
-        "backend": u.backend,
         "terms": [
             {
                 "blade": list(blade_indices(mask)),
@@ -300,10 +287,11 @@ def _get(obj, key, where: str, kind=object):
 
 
 def mv_from_dict(data: dict) -> Multivector:
-    """Inverse of :func:`mv_to_dict`; a malformed structure is an AlgebraError."""
+    """Inverse of :func:`mv_to_dict`; a malformed structure is an AlgebraError.  A
+    ``"backend"`` key, which the structured form held before, is ignored."""
     sig_data = _get(data, "signature", "the input")
     sig = Signature(_get(sig_data, "p", "'signature'", int), _get(sig_data, "q", "'signature'", int))
-    field, backend = (_get(data, key, "the input") for key in ("field", "backend"))
+    field = _get(data, "field", "the input")
     terms = {}
     for k, entry in enumerate(_get(data, "terms", "the input", (list, tuple))):
         where = f"term {k}"
@@ -313,4 +301,4 @@ def mv_from_dict(data: dict) -> Multivector:
         if mask in terms:
             raise AlgebraError(f"duplicate blade {blade} in structured input")
         terms[mask] = (re, im)
-    return Multivector(sig, terms, field, backend)
+    return Multivector(sig, terms, field)

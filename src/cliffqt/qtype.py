@@ -48,6 +48,10 @@ a wrong law fails the import.  :func:`commutator_type` and
 :func:`anticommutator_type` read the table they are given for each pair of
 atom bitmasks once, and keep the result in a bounded memo keyed by that
 table and the two masks.
+
+:func:`member` is strict on every value.  With the float backend, its
+``scale`` parameter and threshold are gone, and so is ``_rank_atom_bits``,
+whose threshold-free loop is now :func:`classify_by_rank`.
 """
 
 from __future__ import annotations
@@ -57,8 +61,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     COMPLEX,
-    FLOAT,
-    FLOAT_TOL,
     REAL,
     Multivector,
     Signature,
@@ -288,22 +290,17 @@ def apply_conjugation(u: Multivector, op) -> Multivector:
 
 # ------------------------------------------------------------------ classification
 
-def _rank_atom_bits(u: Multivector, threshold=0) -> int:
-    """Atom bits of u's coefficient parts larger than threshold in magnitude, read
-    off the ranks of their terms; a threshold of 0 keeps every nonzero part."""
+def classify_by_rank(u: Multivector) -> TypeSet:
+    """Minimal TypeSet containing u: the atoms of its nonzero coefficient parts,
+    read off the ranks of their terms."""
     bits = 0
     for mask, (re, im) in u._terms.items():
         k = mask.bit_count() & 3
-        if re and (not threshold or abs(re) > threshold):
+        if re:
             bits |= 1 << k
-        if im and (not threshold or abs(im) > threshold):
+        if im:
             bits |= 1 << (4 + k)
-    return bits
-
-
-def classify_by_rank(u: Multivector) -> TypeSet:
-    """Minimal TypeSet containing u, read off the ranks of its terms."""
-    return TypeSet(u.field, _rank_atom_bits(u))
+    return TypeSet(u.field, bits)
 
 
 def _atom_parts(u: Multivector) -> list[dict]:
@@ -317,7 +314,6 @@ def _atom_parts(u: Multivector) -> list[dict]:
     """
     gens = (_GRI, _REV, _CCONJ) if u.field == COMPLEX else (_GRI, _REV)
     images = [apply_conjugation(u, s)._terms for s in gens]
-    zero = 0.0 if u.backend == FLOAT else 0
     parts = [{} for _ in range(1 << len(gens))]
     for m, pair in u._terms.items():
         for part, x in enumerate(pair):
@@ -334,7 +330,7 @@ def _atom_parts(u: Multivector) -> list[dict]:
                             f"to {'nothing' if y is None else y}, not +-{x}"
                         )
                     atom |= 1 << j
-            parts[atom][m] = (zero, x) if part else (x, zero)
+            parts[atom][m] = (0, x) if part else (x, 0)
     return parts
 
 
@@ -347,7 +343,7 @@ def qtype_project(u: Multivector, k: int) -> Multivector:
     if u.field == COMPLEX:
         # atom ik holds the imaginary parts, atom k the real parts
         _accumulate(out, parts[k + 4].items())
-    return Multivector._raw(u.sig, u.field, u.backend, out)
+    return Multivector._raw(u.sig, u.field, out)
 
 
 def atom_components(u: Multivector):
@@ -358,25 +354,20 @@ def atom_components(u: Multivector):
     parts = _atom_parts(u)
     for k in range(4):
         for imag in (False, True) if u.field == COMPLEX else (False,):
-            yield (k, imag), Multivector._raw(u.sig, u.field, u.backend, parts[k + 4 * imag])
+            yield (k, imag), Multivector._raw(u.sig, u.field, parts[k + 4 * imag])
 
 
 def classify_by_conjugation(u: Multivector) -> TypeSet:
     """Atoms of every nonzero part of u, read off the conjugation signs of its
-    terms; on every value, of either backend, it equals classify_by_rank(u)."""
+    terms; on every value it equals classify_by_rank(u)."""
     return TypeSet(u.field, sum(1 << a for a, part in enumerate(_atom_parts(u)) if part))
 
 
-def member(u: Multivector, tset: TypeSet, scale=None) -> bool:
-    """True when u lies in the subspace the TypeSet denotes.
+def member(u: Multivector, tset: TypeSet) -> bool:
+    """True when u lies in the subspace the TypeSet denotes: no nonzero part outside it.
 
-    Exact backend: strict (no component outside the set).  Float backend:
-    components outside the set must stay below FLOAT_TOL times scale, a
-    magnitude the computation of u passed through; the default is the
-    largest coefficient of u, which is too small when u is the rounding
-    residue of a cancellation.  u is a member at any scale when the set holds
-    all atoms (real, and imaginary over the complexes) of each of u's rank
-    classes; only otherwise are its parts read against the threshold.
+    u is a member when the set holds all atoms (real, and imaginary over the
+    complexes) of each of u's rank classes; only otherwise are its parts read.
     """
     if u.field != tset.field:
         raise AlgebraError(f"field mismatch: {u.field} vs {tset.field}")
@@ -384,10 +375,7 @@ def member(u: Multivector, tset: TypeSet, scale=None) -> bool:
     ranks = set(map(int.bit_count, u._terms))  # at most n+1
     if not sum({1 << (r & 3) for r in ranks}) & ~held:
         return True
-    threshold = 0
-    if u.backend == FLOAT:
-        threshold = FLOAT_TOL * (u.max_abs() if scale is None else scale)
-    return not _rank_atom_bits(u, threshold) & ~tset.bits
+    return classify_by_rank(u) <= tset
 
 
 def main_type_dim(n: int, k: int) -> int:

@@ -1,10 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cliffqt import COMPLEX, EXACT, FLOAT, REAL, Multivector, TypeSet, eigenspace
-from cliffqt.algebra import FLOAT_TOL
+from cliffqt import COMPLEX, REAL, Multivector, TypeSet, eigenspace
 from cliffqt.dsl import _conjugate, _infer_compositional, _TooManyMonomials, canonical_form
 from cliffqt.qtype import conjugation_codes
 
@@ -18,21 +18,22 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-def random_mv(sig, rng, field=REAL, backend=EXACT, max_terms=None):
-    """Small random multivector with integer coefficients (exact) or floats."""
+def random_mv(sig, rng, field=REAL, from_floats=False, max_terms=None):
+    """Small random multivector with integer coefficients, or with floats in
+    [-1, 1] read exactly (``Fraction(x)``, denominators up to 2^53)."""
     size = 1 << sig.n
     count = rng.randrange(0, max_terms or size) + 1
     terms = {}
     for _ in range(count):
         mask = rng.randrange(size)
-        if backend == EXACT:
+        if from_floats:
+            re = Fraction(rng.uniform(-1, 1))
+            im = Fraction(rng.uniform(-1, 1)) if field == COMPLEX else 0
+        else:
             re = rng.randint(-9, 9)
             im = rng.randint(-9, 9) if field == COMPLEX else 0
-        else:
-            re = rng.uniform(-1, 1)
-            im = rng.uniform(-1, 1) if field == COMPLEX else 0.0
         terms[mask] = (re, im)
-    return Multivector(sig, terms, field, backend)
+    return Multivector(sig, terms, field)
 
 
 def reference_sign(form, bits):
@@ -63,17 +64,14 @@ def relabel_and_compare_type(expr, env):
     return result
 
 
-def reference_member(u, tset, scale=None):
-    """Reference membership: every term's parts compared with the threshold
-    one by one, against the atoms of the term's rank."""
-    threshold = 0
-    if u.backend == FLOAT:
-        threshold = FLOAT_TOL * (u.max_abs() if scale is None else scale)
+def reference_member(u, tset):
+    """Reference membership: every term's nonzero parts checked one by one
+    against the atoms of the term's rank."""
     for mask, (re, im) in u._terms.items():
         k = mask.bit_count() & 3
-        if not tset.bits >> k & 1 and abs(re) > threshold:
+        if not tset.bits >> k & 1 and re != 0:
             return False
-        if not tset.bits >> (4 + k) & 1 and abs(im) > threshold:
+        if not tset.bits >> (4 + k) & 1 and im != 0:
             return False
     return True
 

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per shipping criterion, each printing PASS.
 
-Everything runs on the exact backend with strict equality; runtime caps are
+Everything runs in exact arithmetic with strict equality; runtime caps are
 asserted where the criterion sets one.  Run with ``pytest -s`` to see the
 per-criterion lines.
 """
@@ -11,7 +11,6 @@ import pytest
 
 from cliffqt import (
     COMPLEX,
-    EXACT,
     REAL,
     Multivector,
     Signature,

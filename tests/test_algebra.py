@@ -1,4 +1,3 @@
-import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -10,9 +9,6 @@ from hypothesis import strategies as st
 
 from cliffqt import (
     COMPLEX,
-    EXACT,
-    FLOAT,
-    FLOAT_TOL,
     REAL,
     AlgebraError,
     Multivector,
@@ -38,8 +34,8 @@ from cliffqt.verify import naive_blade_product
 from conftest import random_mv
 
 
-def mv(text, p, q, field=REAL, backend=EXACT):
-    return parse_mv(text, Signature(p, q), field, backend)
+def mv(text, p, q, field=REAL):
+    return parse_mv(text, Signature(p, q), field)
 
 
 # ---------------------------------------------------------------- signatures
@@ -166,8 +162,6 @@ def test_product_mismatch_errors():
         mv("e1", 2, 0) * mv("e1", 1, 1)
     with pytest.raises(AlgebraError):
         mv("e1", 2, 0) * mv("e1", 2, 0, field=COMPLEX)
-    with pytest.raises(AlgebraError):
-        mv("e1", 2, 0) * mv("e1", 2, 0, backend=FLOAT)
 
 
 def test_additive_examples():
@@ -278,7 +272,7 @@ def sig_and_terms(draw, field=REAL):
             max_size=size,
         )
     )
-    return Multivector(sig, terms, field, EXACT)
+    return Multivector(sig, terms, field)
 
 
 @given(sig_and_terms(), sig_and_terms())
@@ -367,20 +361,15 @@ def test_brackets_equal_two_products_exactly(p, q, field, rng):
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_float_brackets_match_two_products(field, rng):
+    # floats read exactly: the operands are multiplied as integers over denominators up to 2^53
     for p, q in ((3, 0), (2, 2), (4, 2), (0, 5), MASK_PATH_SIG):
         sig = Signature(p, q)
         for _ in range(10):
-            u = random_mv(sig, rng, field, FLOAT, max_terms=16)
-            v = random_mv(sig, rng, field, FLOAT, max_terms=16)
+            u = random_mv(sig, rng, field, from_floats=True, max_terms=16)
+            v = random_mv(sig, rng, field, from_floats=True, max_terms=16)
             uv, vu = u * v, v * u
-            for fused, reference in ((commutator(u, v), uv - vu), (anticommutator(u, v), uv + vu)):
-                scale = max(reference.max_abs(), fused.max_abs(), 1.0)
-                for m in set(fused._terms) | set(reference._terms):
-                    for x, y in zip(fused.coeff(m), reference.coeff(m)):
-                        assert abs(x - y) <= FLOAT_TOL * scale
-                if field == REAL:
-                    for _, (_, im) in fused.terms():
-                        assert im == 0.0 and math.copysign(1.0, im) == 1.0
+            assert commutator(u, v)._terms == (uv - vu)._terms
+            assert anticommutator(u, v)._terms == (uv + vu)._terms
 
 
 def test_blade_tables_match_naive_products():
@@ -446,31 +435,14 @@ def test_equality_contract():
     assert (a == "e1") is False or True  # non-multivector comparison does not raise
 
 
-def test_float_backend_basics():
-    u = mv("0.5*e1 + e2", 2, 0, backend=FLOAT)
-    v = u * u
-    assert v.grades() == (0,)
-    assert abs(v.coeff(0)[0] - 1.25) < 1e-12
-
-
-def test_float_arithmetic_refuses_overflow():
-    big = mv("1" + "0" * 200 + "*e1", 2, 0, field=COMPLEX, backend=FLOAT)
-    max_float = Multivector.scalar(Signature(2, 0), 1.7e308, COMPLEX, FLOAT)
-    other = mv("1" + "0" * 200 + "*e2", 2, 0, field=COMPLEX, backend=FLOAT)
-    for result in (
-        lambda: big * big,
-        lambda: commutator(big, other),
-        lambda: anticommutator(big, big),
-        lambda: max_float + max_float,
-        lambda: max_float - (-max_float),
-        lambda: big.scale(1e200),
-        lambda: big.scale((0, 1e200)),
-    ):
-        with pytest.raises(AlgebraError, match="overflow"):
-            result()
-    # the exact backend keeps every digit
-    exact = mv("1" + "0" * 200 + "*e1", 2, 0)
-    assert exact * exact == Multivector.scalar(Signature(2, 0), 10**400)
+def test_values_past_the_float_range_keep_every_digit():
+    sig = Signature(2, 0)
+    big = mv("1" + "0" * 200 + "*e1", 2, 0)
+    assert big * big == Multivector.scalar(sig, 10**400)
+    assert big.scale(10**200) + big.scale(10**200) == Multivector.basis_blade(sig, (1,), 2 * 10**400)
+    tiny = Multivector.basis_blade(sig, (1,), Fraction(1, 10**200))
+    assert commutator(tiny, tiny.scale(-1)).is_zero()
+    assert tiny * tiny == Multivector.scalar(sig, Fraction(1, 10**400))
 
 
 def _assert_no_zero_term(u):
@@ -482,34 +454,33 @@ def _assert_no_zero_term(u):
     assert u.grades() == tuple(sorted({m.bit_count() for m in nonzero}))
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("from_floats", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_no_operation_stores_a_zero_term(field, backend):
-    tiny = 1e-200 if backend == FLOAT else Fraction(1, 10**200)
-    one = 1.0 if backend == FLOAT else 1
+def test_no_operation_stores_a_zero_term(field, from_floats):
+    tiny = Fraction(1e-200) if from_floats else Fraction(1, 10**200)
     values = []
     for n in (12, 4):  # the sign-mask path and the blade-table path
         sig = Signature(n, 0)
 
         def make(terms):
-            return Multivector(sig, terms, field, backend)
+            return Multivector(sig, terms, field)
 
-        u, v = make({1: tiny}), make({2: tiny})  # u * v underflows on the float backend
+        u, v = make({1: tiny}), make({2: tiny})  # u * v would underflow a float
         if field == COMPLEX:
             u, v = make({1: (tiny, tiny)}), make({2: (tiny, -tiny)})
-        e1, e2, w = make({1: one}), make({2: one}), make({0: one, 3: 3 * one, 7: -2 * one})
+        e1, e2, w = make({1: 1}), make({2: 1}), make({0: 1, 3: 3, 7: -2})
         results = [u * v, commutator(u, v), anticommutator(u, v), u.scale(tiny), v.scale(tiny),
                    e1 * e2 + e2 * e1, anticommutator(e1, e2), commutator(w, w), w + -w, w - w,
-                   w * w, w.scale(0), w.scale(one)]
-        if backend == FLOAT:
-            assert all(r.is_zero() for r in results[:5]), [r._terms for r in results[:5]]
+                   w * w, w.scale(0), w.scale(1)]
+        kept = results[:2] + results[3:5]  # {u, v} is 0, as e1 e2 = -e2 e1
+        assert not any(r.is_zero() for r in kept), [r._terms for r in kept]
         values += results + [u, v, w]
     for x in values:
         unary = [x, x.reversion(), x.grade_involution(), x.even_part(), x.odd_part()]
         unary += [x.grade(k) for k in range(x.sig.n + 1)]
         unary += [qtype_project(x, k) for k in range(4)]
         unary += [part for _, part in atom_components(x)]
-        unary += [parse_mv(format_mv(x), x.sig, field, backend), mv_from_dict(mv_to_dict(x))]
+        unary += [parse_mv(format_mv(x), x.sig, field), mv_from_dict(mv_to_dict(x))]
         if field == COMPLEX:
             unary += [x.complex_conjugate(), x.pseudo_hermitian()]
         for y in unary:
@@ -523,36 +494,47 @@ def test_constructor_value_types_do_not_depend_on_term_order():
         assert (type(re), type(im)) == (int, int) and re == 1, terms
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("from_floats", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize(
     "value", ["1.5", True, Decimal("0.1"), "abc", None, [1], 1j, (1, "2"), (True, 0), (1, 2, 3)],
     ids=["str", "bool", "decimal", "word", "none", "list", "complex", "str-im", "bool-re", "triple"],
 )
-def test_both_backends_refuse_a_coefficient_that_is_not_a_number(backend, value):
+def test_both_backends_refuse_a_coefficient_that_is_not_a_number(from_floats, value):
+    # the scaled operand holds an int, or a float read exactly
     sig = Signature(2, 0)
-    one = Multivector.scalar(sig, 1, COMPLEX, backend)
-    for make in (lambda: Multivector(sig, {1: value}, COMPLEX, backend),
-                 lambda: Multivector.scalar(sig, value, COMPLEX, backend),
+    one = Multivector.scalar(sig, Fraction(0.1) if from_floats else 1, COMPLEX)
+    for make in (lambda: Multivector(sig, {1: value}, COMPLEX),
+                 lambda: Multivector.scalar(sig, value, COMPLEX),
                  lambda: one.scale(value)):
-        with pytest.raises(AlgebraError, match="backend needs|two entries"):
+        with pytest.raises(AlgebraError, match="must be int or Fraction|two entries"):
             make()
 
 
 def test_each_backend_takes_its_number_types():
+    # one number contract: ints and Fractions, kept as given
     sig = Signature(2, 0)
-    for value in (3, Fraction(1, 3), 0.5):
-        u = Multivector.scalar(sig, value, backend=FLOAT)
-        assert u.coeff(0) == (float(value), 0.0) and type(u.coeff(0)[0]) is float
     for value in (3, Fraction(1, 3)):
-        assert Multivector.scalar(sig, value).coeff(0) == (value, 0)
+        u = Multivector.scalar(sig, value)
+        assert u.coeff(0) == (value, 0) and type(u.coeff(0)[0]) is type(value)
     e1 = Multivector.basis_blade(sig, (1,))
-    with pytest.raises(AlgebraError, match="exact backend needs int or Fraction"):
-        Multivector.scalar(sig, 0.5)
-    with pytest.raises(AlgebraError, match="exact backend needs int or Fraction"):
-        e1 * 0.5  # the one scalar predicate hands a float to scale, which refuses it
     assert 2 * e1 == e1 * 2 == e1.scale(2)
+    assert Fraction(1, 2) * e1 == e1 * Fraction(1, 2) == e1.scale(Fraction(1, 2))
     with pytest.raises(TypeError):
         e1 * True
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("value", [2.5, 1.0, -0.0, float("inf"), float("nan"), (1, 0.5), (0.5, 0)])
+def test_a_float_coefficient_is_refused_at_every_door(field, value):
+    sig = Signature(2, 0)
+    e1 = Multivector.basis_blade(sig, (1,), field=field)
+    doors = [lambda: Multivector(sig, {1: value}, field), lambda: Multivector.scalar(sig, value, field),
+             lambda: Multivector.basis_blade(sig, (1,), value, field), lambda: e1.scale(value)]
+    if not isinstance(value, tuple):
+        doors += [lambda: value * e1, lambda: e1 * value]
+    for door in doors:
+        with pytest.raises(AlgebraError, match="must be int or Fraction"):
+            door()
 
 
 @pytest.mark.parametrize("terms", [5, [1], [(1, 2, 3)], "ab", [(1,)]])
@@ -586,16 +568,17 @@ def test_an_index_list_that_is_not_iterable_is_named(make, value):
         make()
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("from_floats", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_terms_are_sorted_by_rank_then_mask(field, backend):
+def test_terms_are_sorted_by_rank_then_mask(field, from_floats):
     rng = random.Random(2502)
-    values = [Multivector.zero(Signature(3, 0), field, backend)]
+    values = [Multivector.zero(Signature(3, 0), field)]
     for p in (3, 8, 64, 65, 70, 200):  # n = p + p // 3, past bit 64 from p = 64 on
         sig = Signature(p, p // 3)
         masks = [rng.getrandbits(sig.n) >> rng.randrange(sig.n) for _ in range(60)]
         masks += [1 << (sig.n - 1), (1 << sig.n) - 1, 1 << min(64, sig.n - 1), 0]
-        values.append(Multivector(sig, {mask: 1 + k for k, mask in enumerate(masks)}, field, backend))
+        terms = {mask: Fraction(0.1 * (1 + k)) if from_floats else 1 + k for k, mask in enumerate(masks)}
+        values.append(Multivector(sig, terms, field))
     for u in values:
         items = list(u._terms.items())
         assert u.terms() == sorted(items, key=lambda kv: (kv[0].bit_count(), kv[0]))

@@ -104,19 +104,15 @@ def test_infer_examples(capsys):
         assert code == 0 and out.strip() == "∅"
 
 
+def test_infer_drops_the_type_of_a_zero_scaled_term(capsys):
+    # 0*x is zero whatever x is, so only y's atom 0 is left; written out, not inferred
+    assert run(capsys, "infer", "let x:1; let y:0; 0*x + y") == (0, "0\n", "")
+
+
 def test_check_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "--sig", "2,2", "--trials", "40", "rev(x)*x")
     assert code == 0
     assert "failures: 0" in out
-
-
-def test_float_check_of_a_value_that_cancels_passes(capsys):
-    # [x, x] is rounding residue on the float backend; the type is ∅
-    code, out, _ = run(
-        capsys, "check", "--backend", "float", "--sig", "3,3", "--trials", "5", "let x:0123; [x, x]"
-    )
-    assert code == 0
-    assert "inferred: ∅" in out and "failures: 0" in out
 
 
 def test_check_trials_zero_is_usage_error(capsys):
@@ -182,24 +178,6 @@ def test_number_running_into_a_blade_exits_2(capsys, argv):
 def test_non_ascii_digit_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out and "(line 1, column" in err
-
-
-_HUGE = "1" + "0" * 400
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "--backend", "float", "--sig", "2,0", _HUGE),
-        ("classify", "--backend", "float", "--sig", "2,0", _HUGE + "/3"),
-        ("classify", "--backend", "float", "--sig", "2,0", _HUGE + ".5*e1"),
-        ("check", "--backend", "float", "--sig", "2,0", f"let x:0; {_HUGE}*x"),
-    ],
-    ids=["integer", "fraction", "decimal", "dsl-factor"],
-)
-def test_float_overflow_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and not out and err.startswith("error:") and "float backend" in err
 
 
 def test_mul_refuses_too_many_term_pairs(capsys):
@@ -384,7 +362,7 @@ def test_settable_values_per_command():
         name: sum(1 for a in p._actions if a.dest != "help") for name, p in sub.choices.items()
     }
     assert counts == {
-        "mul": 6, "classify": 5, "project": 6, "tables": 2, "infer": 3, "check": 8, "selftest": 2,
+        "mul": 5, "classify": 4, "project": 5, "tables": 2, "infer": 3, "check": 7, "selftest": 2,
     }
 
 
@@ -459,10 +437,24 @@ def test_digit_limit_exits_2(capsys, argv):
     assert code == 2 and not out and err.startswith("error:") and "4300 digits" in err
 
 
-def test_float_arithmetic_overflow_exits_2(capsys):
+def test_values_past_the_float_range_are_exact(capsys):
+    # 10^-200 * 10^-200 is kept, not lost to underflow; 10^200 * 10^200 does not overflow
+    tiny = "0." + "0" * 199 + "1"
+    code, out, _ = run(capsys, "mul", "--sig", "12,0", "--json", f"{tiny}*e{{1}}", f"{tiny}*e{{2}}")
+    assert code == 0 and json.loads(out)["result"]["terms"] == [
+        {"blade": [1, 2], "re": f"1/{10**400}", "im": "0"}
+    ]
     big = "1" + "0" * 200 + "*e1"
-    code, out, err = run(capsys, "mul", "--backend", "float", "--sig", "2,0", big, big)
-    assert code == 2 and not out and "overflow" in err
+    assert run(capsys, "mul", "--sig", "2,0", big, big) == (0, "1" + "0" * 400 + "\n", "")
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+@pytest.mark.parametrize("value", ["exact", "float"])
+def test_backend_option_is_a_usage_error_on_every_command(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_VALID_ARGV[command], "--backend", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 # Hostile inputs: each must end with an exit code, never a traceback, within
@@ -617,7 +609,7 @@ def _argv(draw):
     else:
         n = draw(_MV_N)
     p = draw(st.sampled_from((0, n // 2, n)))
-    flags += ["--sig", f"{p},{n - p}", "--backend", draw(st.sampled_from(("exact", "float")))]
+    flags += ["--sig", f"{p},{n - p}"]
     if command == "check":
         return [command, *flags, program]
     operands = [draw(_literals(n)) for _ in range(2 if command == "mul" else 1)]

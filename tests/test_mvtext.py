@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from cliffqt import (
     COMPLEX,
-    EXACT,
-    FLOAT,
     REAL,
     AlgebraError,
     Multivector,
@@ -311,18 +309,21 @@ def _typed(tmap):
     return {mask: tuple((type(v), v) for v in pair) for mask, pair in tmap.items()}
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("from_floats", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_parse_gives_the_constructors_terms(rng, field, backend):
+def test_parse_gives_the_constructors_terms(rng, field, from_floats):
     sig = Signature(5, 0)
     cases = [("e1 + e1", [(1, (1, 0))] * 2), ("0*e1 + e2", [(1, (0, 0)), (2, (1, 0))]),
              ("e1 - e1", [(1, (1, 0)), (1, (-1, 0))]), ("2.0", [(0, (Fraction(2), 0))]),
              ("1/2*e1 + 1/2*e1", [(1, (Fraction(1, 2), 0))] * 2),
              ("e1 + 0.0*e1", [(1, (1, 0)), (1, (Fraction(0), 0))])]
     cases += [_random_literal(rng, sig.n, field) for _ in range(300)]
+    if from_floats:  # the printed a/b of floats read exactly, denominators up to 2^53
+        values = [random_mv(sig, rng, field, from_floats=True) for _ in range(100)]
+        cases += [(format_mv(u), u.terms()) for u in values]
     for text, terms in cases:
-        got = parse_mv(text, sig, field, backend)._terms
-        assert _typed(got) == _typed(Multivector(sig, terms, field, backend)._terms), text
+        got = parse_mv(text, sig, field)._terms
+        assert _typed(got) == _typed(Multivector(sig, terms, field)._terms), text
 
 
 @pytest.mark.parametrize("text", ["e1 + 0.0*e1", "0.0*e1 + e1", "e1 + 0/2i*e1"])
@@ -339,53 +340,21 @@ def test_imaginary_coefficient_in_the_real_field_fails_at_the_coefficient():
         assert (info.value.line, info.value.col) == (1, col)
 
 
-def test_float_backend_refuses_non_finite_coefficients():
-    sig = Signature(2, 0)
-    huge = "1" + "0" * 400
-    for text in (huge, huge + "/3", huge + ".5*e1", f"e1 - {huge}i"):
-        with pytest.raises(AlgebraError, match="too large"):
-            parse_mv(text, sig, COMPLEX, FLOAT)
-    # each term fits, their sum does not
-    with pytest.raises(AlgebraError, match="finite"):
-        parse_mv(f"{huge[:309]} + {huge[:309]}", sig, COMPLEX, FLOAT)
-    # the exact backend keeps every digit
-    assert parse_mv(huge, sig) == Multivector.scalar(sig, 10**400)
-
-
-def _one_term(backend, re, im="0"):
+def _one_term(re, im="0"):
     """The structured form of a complex Cl(2,0) value with one e1 term."""
     return {
         "signature": {"p": 2, "q": 0},
         "field": COMPLEX,
-        "backend": backend,
         "terms": [{"blade": [1], "re": re, "im": im}],
     }
 
 
-def test_float_structured_input_reads_like_text():
-    # both forms read each numeral exactly, then round it once
-    sig = Signature(2, 0)
-    numerals = ("3", "-12", "3/2", "-2/3", "0.1", "1" * 300, "0." + "0" * 330 + "1", "1/" + "7" * 320)
-    for re in numerals:
-        for im in ("0", "5/7", "-0.25"):
-            sign, mag = ("-", im[1:]) if im[0] == "-" else ("+", im)
-            text = f"{re}*e1 {sign} {mag}i*e1"
-            u, v = mv_from_dict(_one_term(FLOAT, re, im)), parse_mv(text, sig, COMPLEX, FLOAT)
-            assert u == v and format_mv(u) == format_mv(v)
-    for value in ("nan", "inf", "-inf", "abc", "1/0", "1e400", "1e99999999", float("inf")):
-        with pytest.raises(AlgebraError, match="bad coefficient"):
-            mv_from_dict(_one_term(FLOAT, "1.0", value))
-    with pytest.raises(AlgebraError, match="too large"):
-        mv_from_dict(_one_term(FLOAT, "1" * 400))
-
-
-def test_float_zero_parts_print_as_float_zero():
-    sig = Signature(2, 0)
-    u = parse_mv("1+e1", sig, backend=FLOAT)
-    v = parse_mv("e1", sig, backend=FLOAT)
-    for w in (u * v, -v):
-        terms = mv_to_dict(w)["terms"]
-        assert terms and all(t["im"] == "0.0" for t in terms)
+def test_dict_form_ignores_a_backend_key():
+    # documents written while the structured form held a "backend" key still load, exactly
+    u = parse_mv("0.1*e1 + 1/3i*e1", Signature(2, 0), COMPLEX)
+    assert "backend" not in mv_to_dict(u)
+    for backend in ("exact", "float", None, 7):
+        assert mv_from_dict({**_one_term("0.1", "1/3"), "backend": backend}) == u
 
 
 def test_format_examples():
@@ -433,11 +402,11 @@ def test_roundtrip_fractions():
 
 
 def test_roundtrip_float(rng):
+    # floats read exactly print as a/b and read back to the same value
     sig = Signature(3, 1)
     for _ in range(40):
-        u = random_mv(sig, rng, field=COMPLEX, backend=FLOAT)
-        again = parse_mv(format_mv(u), sig, COMPLEX, FLOAT)
-        assert again == u  # repr of a float is exact
+        u = random_mv(sig, rng, field=COMPLEX, from_floats=True)
+        assert parse_mv(format_mv(u), sig, COMPLEX) == u
 
 
 def test_roundtrip_fifty_terms(rng):
@@ -460,7 +429,7 @@ def test_json_structured_form():
     data = mv_to_dict(u)
     assert data["signature"] == {"p": 2, "q": 2}
     assert data["field"] == COMPLEX
-    assert data["backend"] == EXACT
+    assert "backend" not in data
     assert {"blade": [1], "re": "3/2", "im": "0"} in data["terms"]
     assert mv_from_dict(data) == u
 
@@ -518,29 +487,28 @@ _EXACT_COEFFS = st.one_of(
     st.integers(-10**30, 10**30),
     st.fractions(max_denominator=10**12, min_value=-10**12, max_value=10**12),
 )
-_FLOAT_COEFFS = st.one_of(_EXACT_COEFFS, st.floats(allow_nan=False, allow_infinity=False))
+#: Floats read exactly, from 2^-1074 to about 2^1024.
+_FLOAT_COEFFS = st.floats(allow_nan=False, allow_infinity=False).map(Fraction)
 
 
 @st.composite
 def multivectors(draw):
-    """Random values for n = 1..12, both fields and both backends."""
+    """Random values for n = 1..12, both fields, ints and fractions or floats read exactly."""
     n = draw(st.integers(1, 12))
     p = draw(st.integers(0, n))
     sig = Signature(p, n - p)
     field = draw(st.sampled_from((REAL, COMPLEX)))
-    backend = draw(st.sampled_from((EXACT, FLOAT)))
-    coeffs = _EXACT_COEFFS if backend == EXACT else _FLOAT_COEFFS
+    coeffs = draw(st.sampled_from((_EXACT_COEFFS, _FLOAT_COEFFS)))
     part = coeffs if field == COMPLEX else st.just(0)
-    # one entry per blade: two huge floats on one blade sum past the float range
     terms = draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.tuples(coeffs, part), max_size=12))
-    return Multivector(sig, terms, field, backend)
+    return Multivector(sig, terms, field)
 
 
 @seed(20261018)
 @settings(max_examples=100)
 @given(multivectors())
 def test_text_and_dict_forms_round_trip(u):
-    assert parse_mv(format_mv(u), u.sig, u.field, u.backend) == u
+    assert parse_mv(format_mv(u), u.sig, u.field) == u
     assert mv_from_dict(mv_to_dict(u)) == u
 
 
@@ -600,7 +568,6 @@ def test_unprintable_or_unreadable_coefficients_are_algebra_errors():
         data = {
             "signature": {"p": 2, "q": 0},
             "field": REAL,
-            "backend": EXACT,
             "terms": [{"blade": [1], "re": value, "im": "0"}],
         }
         with pytest.raises(AlgebraError, match="bad coefficient"):
@@ -609,7 +576,7 @@ def test_unprintable_or_unreadable_coefficients_are_algebra_errors():
 
 def test_dict_form_reads_the_numerals_of_the_text_grammar():
     def read(value):
-        return mv_from_dict(_one_term(EXACT, value)).coeff(0b01)[0]
+        return mv_from_dict(_one_term(value)).coeff(0b01)[0]
 
     for value in (" 12 ", "1_000", "١٢", "1_0.5", ".5", "5.", "1e3", "0x10", "+-1", "1 /2"):
         with pytest.raises(AlgebraError, match="bad coefficient"):

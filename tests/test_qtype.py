@@ -1,13 +1,12 @@
 import functools
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from cliffqt import (
     COMPLEX,
-    EXACT,
-    FLOAT,
     REAL,
     AlgebraError,
     Multivector,
@@ -40,8 +39,8 @@ def ts(text, field=REAL):
     return parse_typeset(text, field)
 
 
-def mv(text, p, q, field=REAL, backend=EXACT):
-    return parse_mv(text, Signature(p, q), field, backend)
+def mv(text, p, q, field=REAL):
+    return parse_mv(text, Signature(p, q), field)
 
 
 # ---------------------------------------------------------------- TypeSet basics
@@ -114,29 +113,32 @@ def test_dual_classifiers_agree_on_blades():
                 assert classify_by_rank(c) == classify_by_conjugation(c)
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("from_floats", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize("field", [REAL, COMPLEX, "complex-sparse-n20"])
-def test_dual_classifiers_agree_on_random(field, backend):
-    rng = random.Random(f"{field}/{backend}")  # str seeds, unlike hash(), replay across runs
+def test_dual_classifiers_agree_on_random(field, from_floats):
+    # str seeds, unlike hash(), replay across runs
+    rng = random.Random(f"{field}/{'float' if from_floats else 'exact'}")
     if field == "complex-sparse-n20":
         # about 1,000 parts over the 8 atoms, read back from their brace-blade literal
         sig = Signature(20, 0)
         samples = []
         for _ in range(5):
-            u = random_instance(TypeSet.full(COMPLEX), sig, rng.randrange(1 << 30), 0.0005, backend)
-            samples.append(parse_mv(format_mv(u), sig, COMPLEX, backend))
+            u = random_instance(TypeSet.full(COMPLEX), sig, rng.randrange(1 << 30), 0.0005)
+            if from_floats:
+                u = u.scale(Fraction(0.1))
+            samples.append(parse_mv(format_mv(u), sig, COMPLEX))
         assert all("e{" in format_mv(u) and len(u) > 500 for u in samples)
     else:
         sig = Signature(2, 2)
-        samples = [random_mv(sig, rng, field=field, backend=backend) for _ in range(1000)]
-        if backend == FLOAT:
-            # a part far below FLOAT_TOL * max_abs on a rank class u lacks counts on both routes
+        samples = [random_mv(sig, rng, field=field, from_floats=from_floats) for _ in range(1000)]
+        if from_floats:
+            # a part of 2^-1074 on a rank class u lacks counts on both routes
             for u in samples[:200]:
                 held = classify_by_rank(u).bits
                 lacking = [k for k in range(4) if not held >> k & 1]
                 if lacking and not u.is_zero():
-                    tiny = {(1 << lacking[0]) - 1: 1e-3 * qtype.FLOAT_TOL * u.max_abs()}
-                    samples.append(u + Multivector(sig, tiny, u.field, FLOAT))
+                    tiny = {(1 << lacking[0]) - 1: Fraction(5e-324)}
+                    samples.append(u + Multivector(sig, tiny, u.field))
             assert len(samples) > 1000
     for u in samples:
         assert classify_by_rank(u) == classify_by_conjugation(u)
@@ -146,7 +148,7 @@ def test_wrong_reversion_breaks_only_the_conjugation_route(monkeypatch):
     # negate rank 1 too: the sign rule of ranks 1, 2, 3 mod 4
     def wrong_reversion(self):
         out = {m: (-re, -im) if m.bit_count() & 3 else (re, im) for m, (re, im) in self._terms.items()}
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     sig = Signature(2, 2)
     rng = random.Random(7)
@@ -162,7 +164,7 @@ def test_wrong_reversion_breaks_only_the_conjugation_route(monkeypatch):
 def test_a_conjugation_that_is_not_a_sign_flip_is_an_internal_fault(monkeypatch):
     def doubling_involution(self):
         out = {m: (2 * re, 2 * im) for m, (re, im) in self._terms.items()}
-        return Multivector._raw(self.sig, self.field, self.backend, out)
+        return Multivector._raw(self.sig, self.field, out)
 
     u = parse_mv("3 + e12", Signature(2, 0))
     monkeypatch.setattr(Multivector, "grade_involution", doubling_involution)
@@ -172,11 +174,12 @@ def test_a_conjugation_that_is_not_a_sign_flip_is_an_internal_fault(monkeypatch)
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_float_atom_components_sum_exactly_to_the_input(field):
+    # floats read exactly
     rng = random.Random(11)
     sig = Signature(3, 2)
     for _ in range(200):
-        u = random_mv(sig, rng, field=field, backend=FLOAT)
-        total = Multivector.zero(sig, field, FLOAT)
+        u = random_mv(sig, rng, field=field, from_floats=True)
+        total = Multivector.zero(sig, field)
         for _, w in qtype.atom_components(u):
             total = total + w
         assert total == u
@@ -457,50 +460,37 @@ def test_member_examples():
         member(mv("e1", 2, 0), ts("1", COMPLEX))
 
 
-def test_member_float_tolerance():
-    sig = Signature(2, 0)
-    u = Multivector(sig, {0b01: 1.0, 0b11: 1e-13}, backend=FLOAT)
-    assert member(u, ts("1"))           # tiny rank-2 leakage is below tol
-    assert not member(u, ts("2"))       # the rank-1 part is genuine
-    assert not member(u, ts("1"), scale=1e-5)  # judged against 1e-5, the leakage shows
-
-
 def _blade_of_class(n, k, rng):
     """A random blade mask of rank k mod 4 among n generators (n >= 3)."""
     return sum(1 << b for b in rng.sample(range(n), rng.choice(range(k, n + 1, 4))))
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("from_floats", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_member_and_classify_by_rank_match_the_per_term_reference(field, backend):
-    rng = random.Random(f"{field} {backend}")
+def test_member_and_classify_by_rank_match_the_per_term_reference(field, from_floats):
+    rng = random.Random(f"{field} {'float' if from_floats else 'exact'}")
     width = TypeSet.full(field).bits
-    one = 1.0 if backend == FLOAT else 1
+    # a float read exactly: any nonzero part counts, 2^-1074 included
+    one = Fraction(5e-324) if from_floats else 1
     for n in range(3, 21):
         sig = Signature(n - n // 3, n // 3)
         for density in (1.0, 0.01) if n <= 10 else (0.01,):
             drawn = TypeSet(field, rng.randrange(1, width + 1))
-            u = random_instance(drawn, sig, rng.randrange(1 << 30), density, backend)
+            u = random_instance(drawn, sig, rng.randrange(1 << 30), density)
+            if from_floats:
+                u = u.scale(Fraction(0.1))
             values = [u]
             outside = [k for k in range(4) if not drawn.bits >> k & 1]
             if outside:
                 # a genuine term on a rank class the set leaves out fails
-                stray = u + Multivector(sig, {_blade_of_class(n, rng.choice(outside), rng): one},
-                                        field, backend)
+                stray = u + Multivector(sig, {_blade_of_class(n, rng.choice(outside), rng): one}, field)
                 assert not member(stray, drawn)
                 values.append(stray)
-                if backend == FLOAT and not u.is_zero():
-                    # rounding residue on it, below the tolerance, passes
-                    residue = 1e-3 * qtype.FLOAT_TOL * u.max_abs()
-                    m = _blade_of_class(n, rng.choice(outside), rng)
-                    leaky = u + Multivector(sig, {m: residue}, field, backend)
-                    assert member(leaky, drawn)
-                    values.append(leaky)
             half = [k for k in range(4) if drawn.bits >> k & 1 and not drawn.bits >> (4 + k) & 1]
             if field == COMPLEX and half:
                 # the real atom of the rank class is in the set, the imaginary one is not
                 m = _blade_of_class(n, rng.choice(half), rng)
-                imag = u + Multivector(sig, {m: (0, one)}, field, backend)
+                imag = u + Multivector(sig, {m: (0, one)}, field)
                 assert not member(imag, drawn)
                 values.append(imag)
             sets = [drawn, TypeSet(field, drawn.bits & 0x0F), TypeSet.full(field),
@@ -508,9 +498,8 @@ def test_member_and_classify_by_rank_match_the_per_term_reference(field, backend
             for v in values:
                 assert classify_by_rank(v) == reference_classify_by_rank(v)
                 for tset in sets:
-                    for scale in (None, 10, 1e-6):
-                        assert member(v, tset, scale) == reference_member(v, tset, scale), (
-                            n, density, format_mv(v)[:80], tset, scale)
+                    assert member(v, tset) == reference_member(v, tset), (
+                        n, density, format_mv(v)[:80], tset)
 
 
 # ---------------------------------------------------------------- structure facts
